@@ -86,6 +86,8 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
         debt_grid = [float(d) for d in grid_spec["debt_grid"]]
         l0_grid = [float(v) for v in grid_spec["l0_grid"]]
         decay_rho = grid_spec.get("decay_rho")
+        if decay_rho is not None:
+            decay_rho = float(decay_rho)
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad heatmap section: {exc}") from exc
     matrix = stress.heatmap(
@@ -103,7 +105,7 @@ def cmd_sweep_cost(args: argparse.Namespace) -> int:
     raw, config_bytes = _read_json(Path(args.config))
     try:
         books = _load_books(raw["books"])
-        target = float(raw["target_qty"])
+        target = float(raw["tokens_needed"])
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad sweep config: {exc}") from exc
     result = attack.sweep_cost(books, target)

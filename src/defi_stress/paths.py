@@ -8,14 +8,11 @@ matter how many paths are generated or how work is partitioned.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import InvalidParams
-from .protocol import LiquidationSetup, liquidate_ensemble
 
 COLLATERAL = 0
 RESERVE = 1
@@ -138,36 +135,3 @@ def select_worst_path(
         idx = int(np.argmin(days))
         return idx, int(first_neg[idx])
     return int(np.argmin(terminal)), None
-
-
-def fastest_undercollateralization(
-    ensemble: PathEnsemble, setup: LiquidationSetup
-) -> tuple[int, int | None]:
-    """Worst path of the ensemble under one liquidation setup.
-
-    Runs the liquidation engine on every path and returns (path index,
-    first day the margin turns negative). If no path ever goes negative,
-    the day is None and the path is the one with the smallest terminal
-    margin.
-    """
-    first_neg, terminal = liquidate_ensemble(
-        setup, ensemble.collateral_paths, ensemble.reserve_paths
-    )
-    return select_worst_path(first_neg, terminal)
-
-
-def ensemble_to_csv(ensemble: PathEnsemble, path: str | Path) -> None:
-    """Dump one row per path-day: path,day,collateral_price,reserve_price."""
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["path", "day", "collateral_price", "reserve_price"])
-        for k in range(ensemble.n_paths):
-            for t in range(ensemble.horizon_days + 1):
-                writer.writerow(
-                    [
-                        k,
-                        t,
-                        ensemble.collateral_paths[k, t],
-                        ensemble.reserve_paths[k, t],
-                    ]
-                )

@@ -13,7 +13,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -126,23 +126,24 @@ class LiquidationTrace:
         "debt_remaining,collateral_remaining,margin"
     )
 
+    def _columns(self) -> tuple[list, ...]:
+        """The per-day lists, in CSV_HEADER order."""
+        return (
+            self.days,
+            self.collateral_prices,
+            self.reserve_prices,
+            self.units_sold,
+            self.proceeds,
+            self.debt_remaining,
+            self.collateral_remaining,
+            self.margins,
+        )
+
     def to_csv(self, path: str | Path) -> None:
         with Path(path).open("w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(self.CSV_HEADER.split(","))
-            for i in range(len(self.days)):
-                writer.writerow(
-                    [
-                        self.days[i],
-                        self.collateral_prices[i],
-                        self.reserve_prices[i],
-                        self.units_sold[i],
-                        self.proceeds[i],
-                        self.debt_remaining[i],
-                        self.collateral_remaining[i],
-                        self.margins[i],
-                    ]
-                )
+            writer.writerows(zip(*self._columns()))
 
 
 def margin_basic(state: ProtocolState, prices: Mapping[str, float]) -> float:
@@ -191,52 +192,81 @@ def participation_ok(p: CounterpartyParams) -> bool:
     return excess > p.r_f
 
 
+def _liquidate(
+    debt0: float,
+    coll0: float,
+    reserve: float,
+    liquidity: LiquidityModel,
+    collateral_paths: np.ndarray,
+    reserve_paths: np.ndarray,
+    record: Callable[[int, np.ndarray, tuple[np.ndarray, ...]], None],
+) -> None:
+    """The daily liquidation rule, run on every path at once.
+
+    Each day t the protocol sells u_t = min(L(t), collateral left,
+    debt left / price) on every path whose debt is outstanding; proceeds
+    retire debt one-for-one at the day's price (no price impact). The margin
+    is the plain post-sale buffer collateral + reserve - debt. A path stops
+    once its debt is discharged, and the loop once every path has stopped.
+
+    After each day's sale it calls record(t, active, columns). active marks
+    the paths whose debt was outstanding that morning; columns hold every
+    path's collateral price, reserve price, units sold, proceeds, debt left,
+    collateral left and margin, in LiquidationTrace's column order; active
+    is updated in place after record returns. A zero price raises
+    FloatingPointError instead of warning.
+    """
+    if collateral_paths.shape != reserve_paths.shape:
+        raise HorizonMismatch("collateral and reserve paths must share a shape")
+    n_paths, n_days = collateral_paths.shape
+    debt = np.full(n_paths, float(debt0))
+    coll = np.full(n_paths, float(coll0))
+    active = np.ones(n_paths, dtype=bool)
+    with np.errstate(divide="raise", invalid="raise"):
+        for t in range(n_days):
+            if not active.any():
+                break
+            p_col = collateral_paths[:, t]
+            p_res = reserve_paths[:, t]
+            cap = liquidity_at(liquidity, t)
+            u = np.where(active, np.minimum(np.minimum(cap, coll), debt / p_col), 0.0)
+            proceeds = u * p_col
+            debt = np.maximum(debt - proceeds, 0.0)
+            debt[debt <= _DEBT_EPS * debt0] = 0.0
+            coll = coll - u
+            margin = coll * p_col + reserve * p_res - debt
+            record(t, active, (p_col, p_res, u, proceeds, debt, coll, margin))
+            discharged = active & (debt == 0.0)
+            active &= ~discharged
+
+
 def run_liquidation(
     initial: ProtocolState,
     collateral_path: Sequence[float],
     reserve_path: Sequence[float],
     liquidity: LiquidityModel,
 ) -> LiquidationTrace:
-    """Sell collateral day by day against one simulated price path.
-
-    Each day t the protocol sells u_t = min(L(t), collateral left,
-    debt left / price); proceeds retire debt one-for-one at the day's price
-    (no price impact). The recorded margin is the plain post-sale buffer
-    collateral + reserve - debt. Stops once the debt is discharged.
-    """
-    if len(collateral_path) != len(reserve_path):
-        raise HorizonMismatch(
-            f"collateral path has {len(collateral_path)} days, "
-            f"reserve path {len(reserve_path)}"
-        )
-    debt0 = initial.debt
-    debt = debt0
-    coll = initial.total_collateral_units()
-    reserve = initial.reserve_quantity
+    """Sell collateral day by day against one simulated price path and
+    record every day until the debt is discharged or the path ends."""
     trace = LiquidationTrace()
-    for t in range(len(collateral_path)):
-        p_col = float(collateral_path[t])
-        p_res = float(reserve_path[t])
-        cap = liquidity_at(liquidity, t)
-        u = min(cap, coll, debt / p_col)
-        proceeds = u * p_col
-        debt = max(debt - proceeds, 0.0)
-        if debt <= _DEBT_EPS * debt0:
-            debt = 0.0
-        coll -= u
-        margin = coll * p_col + reserve * p_res - debt
-        trace.days.append(t)
-        trace.collateral_prices.append(p_col)
-        trace.reserve_prices.append(p_res)
-        trace.units_sold.append(u)
-        trace.proceeds.append(proceeds)
-        trace.debt_remaining.append(debt)
-        trace.collateral_remaining.append(coll)
-        trace.margins.append(margin)
-        if margin < 0 and trace.first_negative_day is None:
+    days, *columns = trace._columns()
+
+    def record(t, _, values):
+        days.append(t)
+        for column, value in zip(columns, values):
+            column.append(float(value[0]))
+        if trace.margins[-1] < 0 and trace.first_negative_day is None:
             trace.first_negative_day = t
-        if debt == 0.0:
-            break
+
+    _liquidate(
+        initial.debt,
+        initial.total_collateral_units(),
+        initial.reserve_quantity,
+        liquidity,
+        np.asarray(collateral_path, dtype=float).reshape(1, -1),
+        np.asarray(reserve_path, dtype=float).reshape(1, -1),
+        record,
+    )
     return trace
 
 
@@ -245,39 +275,29 @@ def liquidate_ensemble(
     collateral_paths: np.ndarray,
     reserve_paths: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized liquidation over a whole path ensemble.
+    """Liquidation over a whole path ensemble.
 
     Returns (first_negative_day, terminal_margin) arrays, one entry per
     path; first_negative_day is -1 where the margin never turns negative.
-    Semantics match `run_liquidation` exactly (cross-checked in tests):
-    once a path's debt is discharged its margin is frozen at that day.
+    Once a path's debt is discharged its margin is frozen at that day.
     """
-    if collateral_paths.shape != reserve_paths.shape:
-        raise HorizonMismatch("path matrices must share a shape")
-    n_paths, n_days = collateral_paths.shape
+    n_paths = collateral_paths.shape[0]
     p0 = float(collateral_paths[0, 0])
-    debt0 = setup.debt
-    debt = np.full(n_paths, float(debt0))
-    coll = np.full(n_paths, setup.initial_collateral_units(p0))
-    reserve = setup.reserve_quantity
     first_neg = np.full(n_paths, -1, dtype=np.int64)
     terminal = np.empty(n_paths)
-    active = np.ones(n_paths, dtype=bool)
-    for t in range(n_days):
-        if not active.any():
-            break
-        p_col = collateral_paths[:, t]
-        p_res = reserve_paths[:, t]
-        cap = liquidity_at(setup.liquidity, t)
-        u = np.where(active, np.minimum(np.minimum(cap, coll), debt / p_col), 0.0)
-        proceeds = u * p_col
-        debt = np.maximum(debt - proceeds, 0.0)
-        debt[debt <= _DEBT_EPS * debt0] = 0.0
-        coll = coll - u
-        margin = coll * p_col + reserve * p_res - debt
-        newly_neg = active & (margin < 0) & (first_neg < 0)
-        first_neg[newly_neg] = t
+
+    def record(t, active, columns):
+        margin = columns[-1]
+        first_neg[active & (margin < 0) & (first_neg < 0)] = t
         terminal[active] = margin[active]
-        discharged = active & (debt == 0.0)
-        active &= ~discharged
+
+    _liquidate(
+        setup.debt,
+        setup.initial_collateral_units(p0),
+        setup.reserve_quantity,
+        setup.liquidity,
+        collateral_paths,
+        reserve_paths,
+        record,
+    )
     return first_neg, terminal

@@ -12,7 +12,7 @@ import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import InvalidParams, SchemaError
 from .paths import GbmParams, PathEnsemble, select_worst_path, simulate_correlated
@@ -47,6 +47,11 @@ class ScenarioConfig:
             raise InvalidParams("debt levels must be non-empty and positive")
         if not self.liquidity_regimes:
             raise InvalidParams("at least one liquidity regime required")
+        # Each cell's trace file is named by its (debt, regime) pair.
+        if len(set(self.debt_levels)) != len(self.debt_levels):
+            raise InvalidParams("debt levels must not repeat")
+        if len(set(self.liquidity_regimes)) != len(self.liquidity_regimes):
+            raise InvalidParams("liquidity regimes must not repeat")
         if self.horizon_days < 1:
             raise InvalidParams("horizon must be >= 1 day")
         if not -1.0 <= self.rho_corr <= 1.0:
@@ -106,35 +111,13 @@ class StressReport:
         raise KeyError((debt, liquidity))
 
 
-def _evaluate_cell(
-    ensemble: PathEnsemble,
-    setup: LiquidationSetup,
-) -> tuple[int, int | None, float, LiquidationTrace]:
-    first_neg, terminal = liquidate_ensemble(
-        setup, ensemble.collateral_paths, ensemble.reserve_paths
-    )
-    idx, day = select_worst_path(first_neg, terminal)
-    p0 = float(ensemble.collateral_paths[0, 0])
-    state = ProtocolState(
-        positions=(
-            CollateralPosition("collateral", setup.initial_collateral_units(p0)),
-        ),
-        reserve_quantity=setup.reserve_quantity,
-        debt=setup.debt,
-    )
-    trace = run_liquidation(
-        state,
-        ensemble.collateral_paths[idx],
-        ensemble.reserve_paths[idx],
-        setup.liquidity,
-    )
-    return idx, day, float(terminal.min()), trace
-
-
-def run_scenario(config: ScenarioConfig, threads: int = 1) -> StressReport:
-    """Simulate one shared ensemble and record the worst-case trace for every
-    (debt level, liquidity regime) cell. Deterministic for a fixed config,
-    whatever the thread count."""
+def _cells(
+    config: ScenarioConfig,
+    evaluate: Callable[[PathEnsemble, LiquidationSetup], object],
+    threads: int,
+) -> list:
+    """evaluate(ensemble, setup) for every (debt level, liquidity regime)
+    cell, debt-major, all cells sharing one seeded ensemble."""
     ensemble = simulate_correlated(
         config.collateral_params,
         config.reserve_params,
@@ -155,21 +138,53 @@ def run_scenario(config: ScenarioConfig, threads: int = 1) -> StressReport:
     ]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda s: _evaluate_cell(ensemble, s), setups))
-    else:
-        results = [_evaluate_cell(ensemble, s) for s in setups]
-    cells = tuple(
-        CellResult(
-            debt=setup.debt,
-            liquidity=setup.liquidity,
-            worst_path_index=idx,
-            first_negative_day=day,
-            terminal_margin=trace.terminal_margin,
-            min_terminal_margin=min_terminal,
-            trace=trace,
-        )
-        for setup, (idx, day, min_terminal, trace) in zip(setups, results)
+            return list(pool.map(lambda s: evaluate(ensemble, s), setups))
+    return [evaluate(ensemble, s) for s in setups]
+
+
+def _worst_path(
+    ensemble: PathEnsemble, setup: LiquidationSetup
+) -> tuple[int, int | None, float]:
+    """(worst path index, its first negative day, lowest terminal margin)."""
+    first_neg, terminal = liquidate_ensemble(
+        setup, ensemble.collateral_paths, ensemble.reserve_paths
     )
+    idx, day = select_worst_path(first_neg, terminal)
+    return idx, day, float(terminal.min())
+
+
+def _evaluate_cell(ensemble: PathEnsemble, setup: LiquidationSetup) -> CellResult:
+    idx, day, min_terminal = _worst_path(ensemble, setup)
+    p0 = float(ensemble.collateral_paths[0, 0])
+    state = ProtocolState(
+        positions=(
+            CollateralPosition("collateral", setup.initial_collateral_units(p0)),
+        ),
+        reserve_quantity=setup.reserve_quantity,
+        debt=setup.debt,
+    )
+    trace = run_liquidation(
+        state,
+        ensemble.collateral_paths[idx],
+        ensemble.reserve_paths[idx],
+        setup.liquidity,
+    )
+    return CellResult(
+        debt=setup.debt,
+        liquidity=setup.liquidity,
+        worst_path_index=idx,
+        first_negative_day=day,
+        terminal_margin=trace.terminal_margin,
+        min_terminal_margin=min_terminal,
+        trace=trace,
+    )
+
+
+def run_scenario(config: ScenarioConfig, threads: int = 1) -> StressReport:
+    """Simulate one shared ensemble and record the worst-case trace for every
+    (debt level, liquidity regime) cell. Deterministic for a fixed config,
+    whatever the thread count."""
+    cells = tuple(_cells(config, _evaluate_cell, threads))
     return StressReport(
         seed=config.seed, n_paths=config.n_paths, rho_corr=config.rho_corr, cells=cells
     )
@@ -196,11 +211,9 @@ def heatmap(
         debt_levels=tuple(debt_grid),
         liquidity_regimes=tuple(LiquidityModel(l0=l0, rho=rho) for l0 in l0_grid),
     )
-    report = run_scenario(grid_config, threads=threads)
-    by_key = {
-        (c.debt, c.liquidity.l0): c.first_negative_day for c in report.cells
-    }
-    return [[by_key[(d, l0)] for l0 in l0_grid] for d in debt_grid]
+    days = _cells(grid_config, lambda e, s: _worst_path(e, s)[1], threads)
+    width = len(l0_grid)
+    return [days[i : i + width] for i in range(0, len(days), width)]
 
 
 def correlation_sweep(

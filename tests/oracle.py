@@ -1,0 +1,68 @@
+"""Scalar reference implementation of the daily liquidation rule.
+
+One Python loop over the days of one price path, kept as the oracle that
+`defi_stress.protocol`'s vectorised engine is compared against, field for
+field.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+from defi_stress.errors import HorizonMismatch
+from defi_stress.protocol import (
+    _DEBT_EPS,
+    LiquidationTrace,
+    LiquidityModel,
+    ProtocolState,
+    liquidity_at,
+)
+
+
+def scalar_liquidation(
+    initial: ProtocolState,
+    collateral_path: Sequence[float],
+    reserve_path: Sequence[float],
+    liquidity: LiquidityModel,
+) -> LiquidationTrace:
+    """Sell collateral day by day against one simulated price path.
+
+    Each day t the protocol sells u_t = min(L(t), collateral left,
+    debt left / price); proceeds retire debt one-for-one at the day's price
+    (no price impact). The recorded margin is the plain post-sale buffer
+    collateral + reserve - debt. Stops once the debt is discharged.
+    """
+    if len(collateral_path) != len(reserve_path):
+        raise HorizonMismatch(
+            f"collateral path has {len(collateral_path)} days, "
+            f"reserve path {len(reserve_path)}"
+        )
+    debt0 = initial.debt
+    debt = debt0
+    coll = initial.total_collateral_units()
+    reserve = initial.reserve_quantity
+    trace = LiquidationTrace()
+    for t in range(len(collateral_path)):
+        p_col = float(collateral_path[t])
+        p_res = float(reserve_path[t])
+        cap = liquidity_at(liquidity, t)
+        u = min(cap, coll, debt / p_col)
+        proceeds = u * p_col
+        debt = max(debt - proceeds, 0.0)
+        if debt <= _DEBT_EPS * debt0:
+            debt = 0.0
+        coll -= u
+        margin = coll * p_col + reserve * p_res - debt
+        trace.days.append(t)
+        trace.collateral_prices.append(p_col)
+        trace.reserve_prices.append(p_res)
+        trace.units_sold.append(u)
+        trace.proceeds.append(proceeds)
+        trace.debt_remaining.append(debt)
+        trace.collateral_remaining.append(coll)
+        trace.margins.append(margin)
+        if margin < 0 and trace.first_negative_day is None:
+            trace.first_negative_day = t
+        if debt == 0.0:
+            break
+    return trace

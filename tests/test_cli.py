@@ -1,8 +1,13 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import defi_stress
 from defi_stress.cli import main
 
 
@@ -82,6 +87,29 @@ class TestStress:
         path.write_text("{not json")
         assert run("stress", "--config", path, "--out", tmp_path / "o") == 2
 
+    def test_underflowed_price_exits_3_without_warning(self, tmp_path, baseline_config):
+        # sigma = 40 per sqrt(day) drives collateral prices to exactly 0.
+        cfg = dict(baseline_config, n_paths=200)
+        cfg["collateral"] = dict(cfg["collateral"], sigma=40)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        src = str(Path(defi_stress.__file__).parents[1])
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+        )
+        argv = ["stress", "--config", path, "--out", tmp_path / "o"]
+        proc = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "defi_stress.cli", *map(str, argv)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 3
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numeric error:"), proc.stderr
+
 
 class TestHeatmap:
     def test_heatmap_csv(self, small_stress_config, tmp_path):
@@ -90,6 +118,21 @@ class TestHeatmap:
         lines = (out / "heatmap.csv").read_text().splitlines()
         assert lines[0] == "debt,l0_10000,l0_30000"
         assert len(lines) == 3
+
+    def test_decay_rho_given_as_string(self, small_stress_config, tmp_path):
+        cfg = json.loads(small_stress_config.read_text())
+        num = tmp_path / "num"
+        assert run("heatmap", "--config", small_stress_config, "--out", num) == 0
+        cfg["heatmap"]["decay_rho"] = "0.01"
+        path = tmp_path / "str.json"
+        path.write_text(json.dumps(cfg))
+        assert run("heatmap", "--config", path, "--out", tmp_path / "str") == 0
+        assert (tmp_path / "str" / "heatmap.csv").read_bytes() == (
+            num / "heatmap.csv"
+        ).read_bytes()
+        cfg["heatmap"]["decay_rho"] = "fast"
+        path.write_text(json.dumps(cfg))
+        assert run("heatmap", "--config", path, "--out", tmp_path / "o") == 2
 
     def test_missing_section_exits_2(self, tmp_path, baseline_config):
         cfg = dict(baseline_config, n_paths=100)
@@ -100,10 +143,19 @@ class TestHeatmap:
 
 
 class TestSweepCost:
+    def test_bundled_plan(self, data_dir, tmp_path):
+        plan = data_dir / "maker_feb2020.json"
+        out = tmp_path / "out"
+        assert run("sweep-cost", "--config", plan, "--out", out) == 0
+        report = json.loads((out / "sweep_cost.json").read_text())
+        tokens = json.loads(plan.read_text())["tokens_needed"]
+        assert report["target_qty"] == tokens
+        assert sum(f[2] for f in report["fills"]) == pytest.approx(tokens)
+
     def test_report(self, tmp_path, attack_plan_raw):
         cfg = tmp_path / "sweep.json"
         cfg.write_text(
-            json.dumps({"books": attack_plan_raw["books"], "target_qty": 50_000})
+            json.dumps({"books": attack_plan_raw["books"], "tokens_needed": 50_000})
         )
         out = tmp_path / "out"
         assert run("sweep-cost", "--config", cfg, "--out", out) == 0
@@ -113,7 +165,7 @@ class TestSweepCost:
     def test_insufficient_depth_exits_2(self, tmp_path, attack_plan_raw):
         cfg = tmp_path / "sweep.json"
         cfg.write_text(
-            json.dumps({"books": attack_plan_raw["books"], "target_qty": 1e9})
+            json.dumps({"books": attack_plan_raw["books"], "tokens_needed": 1e9})
         )
         assert run("sweep-cost", "--config", cfg, "--out", tmp_path / "o") == 2
 

@@ -1,4 +1,3 @@
-import csv
 import math
 
 import numpy as np
@@ -8,12 +7,11 @@ from defi_stress.errors import InvalidParams
 from defi_stress.paths import (
     GbmParams,
     PathEnsemble,
-    ensemble_to_csv,
-    fastest_undercollateralization,
+    select_worst_path,
     simulate_correlated,
     simulate_gbm,
 )
-from defi_stress.protocol import LiquidationSetup, LiquidityModel
+from defi_stress.protocol import LiquidationSetup, LiquidityModel, liquidate_ensemble
 
 ETH_FIT = GbmParams(p0=223.0, mu=0.001592, sigma=0.050581)
 
@@ -127,6 +125,12 @@ def flat_ensemble(matrix, reserve=None):
     )
 
 
+def worst_path(ens, setup):
+    return select_worst_path(
+        *liquidate_ensemble(setup, ens.collateral_paths, ens.reserve_paths)
+    )
+
+
 class TestFastestUndercollateralization:
     # tiny l0 keeps the debt outstanding so the margin tracks prices
     setup = LiquidationSetup(
@@ -137,27 +141,16 @@ class TestFastestUndercollateralization:
         flat = [100.0] * 10
         crash = [100.0] * 7 + [10.0, 10.0, 10.0]
         ens = flat_ensemble([flat, crash, flat])
-        assert fastest_undercollateralization(ens, self.setup) == (1, 7)
+        assert worst_path(ens, self.setup) == (1, 7)
 
     def test_tie_breaks_to_lower_index(self):
         crash = [100.0] * 7 + [10.0, 10.0, 10.0]
         ens = flat_ensemble([[100.0] * 10, crash, crash])
-        assert fastest_undercollateralization(ens, self.setup) == (1, 7)
+        assert worst_path(ens, self.setup) == (1, 7)
 
     def test_no_event_returns_min_terminal_margin(self):
         high = [100.0] * 9 + [130.0]
         low = [100.0] * 9 + [90.0]  # margin 1.8*90 - 120 = 42 > 0
         ens = flat_ensemble([high, low])
-        idx, day = fastest_undercollateralization(ens, self.setup)
+        idx, day = worst_path(ens, self.setup)
         assert (idx, day) == (1, None)
-
-
-def test_ensemble_csv_roundtrip(tmp_path):
-    ens = simulate_correlated(ETH_FIT, ETH_FIT, 0.9, 3, 2, seed=4)
-    out = tmp_path / "paths.csv"
-    ensemble_to_csv(ens, out)
-    with out.open() as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["path", "day", "collateral_price", "reserve_price"]
-    assert len(rows) == 1 + 2 * 4
-    assert float(rows[1][2]) == 223.0

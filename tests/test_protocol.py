@@ -20,6 +20,7 @@ from defi_stress.protocol import (
     participation_ok,
     run_liquidation,
 )
+from oracle import scalar_liquidation
 
 
 def single_asset_state(quantity, debt, lam=0.0, reserve=0.0):
@@ -193,14 +194,19 @@ class TestLiquidateEnsemble:
             setup.initial_collateral_units(223.0), 4e8, reserve=1e6
         )
         for k in range(200):
-            trace = run_liquidation(
+            args = (
                 state, ens.collateral_paths[k], ens.reserve_paths[k], setup.liquidity
             )
+            expected = scalar_liquidation(*args)
             expected_day = (
-                -1 if trace.first_negative_day is None else trace.first_negative_day
+                -1
+                if expected.first_negative_day is None
+                else expected.first_negative_day
             )
             assert first_neg[k] == expected_day
-            assert terminal[k] == pytest.approx(trace.terminal_margin, rel=1e-12)
+            assert terminal[k] == pytest.approx(expected.terminal_margin, rel=1e-12)
+            # Same arithmetic in the same order: the trace matches exactly.
+            assert run_liquidation(*args) == expected
 
     def test_shape_mismatch(self):
         setup = LiquidationSetup(1e8, LiquidityModel(30_000), 1e6)

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from defi_stress import stress
 from defi_stress.errors import InvalidParams, SchemaError
 from defi_stress.paths import GbmParams
 from defi_stress.protocol import LiquidityModel
@@ -56,6 +57,13 @@ class TestScenarioConfig:
     def test_rejects_empty_debt_levels(self):
         with pytest.raises(InvalidParams):
             small_config(debt_levels=())
+
+    def test_rejects_repeated_cells(self):
+        # Two cells with one (debt, regime) pair would share a trace file.
+        with pytest.raises(InvalidParams):
+            small_config(debt_levels=(1e8, 1e8))
+        with pytest.raises(InvalidParams):
+            small_config(liquidity_regimes=(LiquidityModel(30_000, 0.01),) * 2)
 
 
 class TestRunScenario:
@@ -123,6 +131,23 @@ class TestHeatmap:
         matrix = heatmap(config, [4e8], [30_000], decay_rho=0.01)
         report = run_scenario(config)
         assert matrix[0][0] == report.cells[0].first_negative_day
+
+    def test_grid_matches_run_scenario_without_traces(self, monkeypatch):
+        debts, l0s = (2e8, 4e8), (10_000, 30_000)
+        config = small_config(
+            n_paths=400,
+            debt_levels=debts,
+            liquidity_regimes=tuple(LiquidityModel(l0, 0.01) for l0 in l0s),
+        )
+        report = run_scenario(config)
+        expected = [
+            [report.cell(d, LiquidityModel(l0, 0.01)).first_negative_day for l0 in l0s]
+            for d in debts
+        ]
+        calls = []
+        monkeypatch.setattr(stress, "run_liquidation", lambda *a: calls.append(a))
+        assert heatmap(config, debts, l0s) == expected
+        assert calls == []
 
     def test_monotone_in_debt_and_liquidity(self):
         for seed in (1, 2):
