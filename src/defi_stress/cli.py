@@ -25,12 +25,21 @@ EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"non-finite number {name}")
+
+
 def _read_json(path: Path) -> tuple[dict, bytes]:
+    """A config file's top-level object and its bytes. NaN and the
+    infinities, which Python's json accepts, are rejected."""
     raw = path.read_bytes()
     try:
-        return json.loads(raw), raw
-    except json.JSONDecodeError as exc:
+        parsed = json.loads(raw, parse_constant=_reject_constant)
+    except ValueError as exc:  # JSONDecodeError among them
         raise SchemaError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(parsed, dict):
+        raise SchemaError(f"{path}: expected a JSON object at the top level")
+    return parsed, raw
 
 
 def _load_books(raw_books: list) -> tuple[attack.OrderBookSnapshot, ...]:

@@ -15,7 +15,13 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .errors import InvalidParams, SchemaError
-from .paths import GbmParams, PathEnsemble, select_worst_path, simulate_correlated
+from .paths import (
+    GbmParams,
+    PathEnsemble,
+    select_worst_path,
+    simulate_correlated,
+    sweep_correlated,
+)
 from .protocol import (
     CollateralPosition,
     LiquidationSetup,
@@ -27,6 +33,11 @@ from .protocol import (
 )
 
 CONFIG_SCHEMA = "stress-config/1"
+
+
+def _trace_name(debt: float, liquidity: LiquidityModel) -> str:
+    """The name of a cell's trace CSV in a report directory."""
+    return f"trace_debt{debt:g}_l0{liquidity.l0:g}_rho{liquidity.rho:g}.csv"
 
 
 @dataclass(frozen=True)
@@ -47,11 +58,18 @@ class ScenarioConfig:
             raise InvalidParams("debt levels must be non-empty and positive")
         if not self.liquidity_regimes:
             raise InvalidParams("at least one liquidity regime required")
-        # Each cell's trace file is named by its (debt, regime) pair.
-        if len(set(self.debt_levels)) != len(self.debt_levels):
-            raise InvalidParams("debt levels must not repeat")
-        if len(set(self.liquidity_regimes)) != len(self.liquidity_regimes):
-            raise InvalidParams("liquidity regimes must not repeat")
+        # Each cell writes its trace to a file named by its (debt, regime)
+        # pair, to 6 significant digits.
+        names = set()
+        for debt in self.debt_levels:
+            for regime in self.liquidity_regimes:
+                name = _trace_name(debt, regime)
+                if name in names:
+                    raise InvalidParams(
+                        f"two cells would write {name}: debt levels and "
+                        "liquidity regimes must differ in 6 significant digits"
+                    )
+                names.add(name)
         if self.horizon_days < 1:
             raise InvalidParams("horizon must be >= 1 day")
         if not -1.0 <= self.rho_corr <= 1.0:
@@ -111,14 +129,8 @@ class StressReport:
         raise KeyError((debt, liquidity))
 
 
-def _cells(
-    config: ScenarioConfig,
-    evaluate: Callable[[PathEnsemble, LiquidationSetup], object],
-    threads: int,
-) -> list:
-    """evaluate(ensemble, setup) for every (debt level, liquidity regime)
-    cell, debt-major, all cells sharing one seeded ensemble."""
-    ensemble = simulate_correlated(
+def _ensemble(config: ScenarioConfig) -> PathEnsemble:
+    return simulate_correlated(
         config.collateral_params,
         config.reserve_params,
         config.rho_corr,
@@ -126,6 +138,16 @@ def _cells(
         config.n_paths,
         config.seed,
     )
+
+
+def _cells(
+    config: ScenarioConfig,
+    ensemble: PathEnsemble,
+    evaluate: Callable[[PathEnsemble, LiquidationSetup], object],
+    threads: int,
+) -> list:
+    """evaluate(ensemble, setup) for every (debt level, liquidity regime)
+    cell of config, debt-major, all cells sharing one seeded ensemble."""
     setups = [
         LiquidationSetup(
             debt=debt,
@@ -184,9 +206,18 @@ def run_scenario(config: ScenarioConfig, threads: int = 1) -> StressReport:
     """Simulate one shared ensemble and record the worst-case trace for every
     (debt level, liquidity regime) cell. Deterministic for a fixed config,
     whatever the thread count."""
-    cells = tuple(_cells(config, _evaluate_cell, threads))
+    return _report(config, _ensemble(config), threads)
+
+
+def _report(
+    config: ScenarioConfig, ensemble: PathEnsemble, threads: int
+) -> StressReport:
+    cells = tuple(_cells(config, ensemble, _evaluate_cell, threads))
     return StressReport(
-        seed=config.seed, n_paths=config.n_paths, rho_corr=config.rho_corr, cells=cells
+        seed=config.seed,
+        n_paths=config.n_paths,
+        rho_corr=ensemble.correlation,
+        cells=cells,
     )
 
 
@@ -211,7 +242,12 @@ def heatmap(
         debt_levels=tuple(debt_grid),
         liquidity_regimes=tuple(LiquidityModel(l0=l0, rho=rho) for l0 in l0_grid),
     )
-    days = _cells(grid_config, lambda e, s: _worst_path(e, s)[1], threads)
+    days = _cells(
+        grid_config,
+        _ensemble(grid_config),
+        lambda e, s: _worst_path(e, s)[1],
+        threads,
+    )
     width = len(l0_grid)
     return [days[i : i + width] for i in range(0, len(days), width)]
 
@@ -220,11 +256,21 @@ def correlation_sweep(
     config: ScenarioConfig, rhos: Sequence[float], threads: int = 1
 ) -> dict[float, StressReport]:
     """One report per correlation level, same seed, so differences across
-    reports isolate the correlation effect."""
-    return {
-        rho: run_scenario(replace(config, rho_corr=rho), threads=threads)
-        for rho in rhos
-    }
+    reports isolate the correlation effect.
+
+    Each report equals run_scenario(replace(config, rho_corr=rho), threads);
+    the shocks and collateral prices are computed once for all levels.
+    """
+    reports = sweep_correlated(
+        config.collateral_params,
+        config.reserve_params,
+        rhos,
+        config.horizon_days,
+        config.n_paths,
+        config.seed,
+        lambda ensemble: _report(config, ensemble, threads),
+    )
+    return dict(zip(rhos, reports))
 
 
 def report_summary(report: StressReport) -> dict:
@@ -253,8 +299,7 @@ def write_report(report: StressReport, out_dir: str | Path) -> list[Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     for c in report.cells:
-        name = f"trace_debt{c.debt:g}_l0{c.liquidity.l0:g}_rho{c.liquidity.rho:g}.csv"
-        path = out_dir / name
+        path = out_dir / _trace_name(c.debt, c.liquidity)
         c.trace.to_csv(path)
         written.append(path)
     summary_path = out_dir / "summary.json"

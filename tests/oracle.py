@@ -1,13 +1,17 @@
-"""Scalar reference implementation of the daily liquidation rule.
+"""Reference implementations that the library is compared against.
 
-One Python loop over the days of one price path, kept as the oracle that
-`defi_stress.protocol`'s vectorised engine is compared against, field for
-field.
+- `scalar_liquidation`: the daily liquidation rule as one Python loop over
+  the days of one price path, the oracle for `defi_stress.protocol`'s
+  vectorised engine, field for field.
+- `philox_increments`: daily shocks from a freshly built Philox generator
+  per path, the oracle for the reused generator of `defi_stress.paths`.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
+
+import numpy as np
 
 from defi_stress.errors import HorizonMismatch
 from defi_stress.protocol import (
@@ -66,3 +70,21 @@ def scalar_liquidation(
         if debt == 0.0:
             break
     return trace
+
+
+def _stream(seed: int, path_index: int, asset_index: int) -> np.random.Generator:
+    key = np.array(
+        [seed % 2**64, (path_index << 1) | asset_index], dtype=np.uint64
+    )
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def philox_increments(
+    seed: int, asset_index: int, horizon_days: int, n_paths: int
+) -> np.ndarray:
+    """Standard-normal daily shocks, path-major (n_paths, horizon_days), one
+    new generator per path keyed on (seed, path index, asset index)."""
+    z = np.empty((n_paths, horizon_days))
+    for k in range(n_paths):
+        z[k] = _stream(seed, k, asset_index).standard_normal(horizon_days)
+    return z

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -86,6 +87,38 @@ class TestStress:
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         assert run("stress", "--config", path, "--out", tmp_path / "o") == 2
+
+    def test_colliding_trace_names_exit_2(self, tmp_path, baseline_config, capsys):
+        # Both debt levels print as 1e+08 in a trace file name.
+        cfg = dict(baseline_config, n_paths=200, debt_levels=[1e8, 1.0000001e8])
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        assert run("stress", "--config", path, "--out", out) == 2
+        assert "trace_debt1e+08_l030000_rho0.csv" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda c: dict(c, collateral=dict(c["collateral"], sigma=math.nan)),
+            lambda c: dict(c, reserve_quantity=math.inf),
+            lambda c: dict(c, reserve=dict(c["reserve"], mu=-math.inf)),
+            lambda c: [1, 2],
+        ],
+        ids=["nan_sigma", "infinite_reserve_quantity", "minus_infinite_mu", "array"],
+    )
+    def test_non_finite_or_non_object_config_exits_2(
+        self, tmp_path, baseline_config, capsys, edit
+    ):
+        path = tmp_path / "cfg.json"
+        # json.dumps writes the bare NaN / Infinity literals
+        path.write_text(json.dumps(edit(dict(baseline_config, n_paths=200))))
+        out = tmp_path / "o"
+        assert run("stress", "--config", path, "--out", out) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        assert not out.exists()
 
     def test_underflowed_price_exits_3_without_warning(self, tmp_path, baseline_config):
         # sigma = 40 per sqrt(day) drives collateral prices to exactly 0.

@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from defi_stress import paths
 from defi_stress.errors import InvalidParams
 from defi_stress.paths import (
+    COLLATERAL,
+    RESERVE,
     GbmParams,
     PathEnsemble,
     select_worst_path,
@@ -12,6 +15,7 @@ from defi_stress.paths import (
     simulate_gbm,
 )
 from defi_stress.protocol import LiquidationSetup, LiquidityModel, liquidate_ensemble
+from oracle import philox_increments
 
 ETH_FIT = GbmParams(p0=223.0, mu=0.001592, sigma=0.050581)
 
@@ -20,6 +24,17 @@ def log_return_corr(ensemble: PathEnsemble) -> float:
     rc = np.diff(np.log(ensemble.collateral_paths), axis=1).ravel()
     rr = np.diff(np.log(ensemble.reserve_paths), axis=1).ravel()
     return float(np.corrcoef(rc, rr)[0, 1])
+
+
+class TestIncrements:
+    @pytest.mark.parametrize("asset", [COLLATERAL, RESERVE])
+    @pytest.mark.parametrize("seed", [0, 42, 2**64 + 5])
+    @pytest.mark.parametrize("horizon", [1, 365])
+    def test_matches_one_generator_per_path(self, asset, seed, horizon):
+        z = paths._increments(seed, asset, horizon, 5000)
+        assert z.shape == (horizon, 5000)
+        expected = philox_increments(seed, asset, horizon, 5000)
+        assert z.T.tobytes() == expected.tobytes()
 
 
 class TestSimulateGbm:
@@ -51,6 +66,12 @@ class TestSimulateGbm:
         few = simulate_gbm(ETH_FIT, 20, 3, seed=42)
         assert np.array_equal(a, b)
         assert np.array_equal(a[:3], few)
+
+    def test_shorter_horizon_is_a_prefix(self):
+        short = simulate_gbm(ETH_FIT, 20, 10, seed=42)
+        long = simulate_gbm(ETH_FIT, 50, 10, seed=42)
+        assert short.shape == (10, 21)
+        assert np.array_equal(short, long[:, :21])
 
     def test_martingale_property(self):
         # with zero drift the price ratio is a martingale: E[P_T/p0] = 1
@@ -106,6 +127,13 @@ class TestSimulateCorrelated:
         ens = simulate_correlated(ETH_FIT, ETH_FIT, 0.5, 30, 40, seed=8)
         standalone = simulate_gbm(ETH_FIT, 30, 40, seed=8)
         assert np.array_equal(ens.collateral_paths, standalone)
+
+    def test_fewer_paths_are_a_partition(self):
+        reserve = GbmParams(223.0, 0.001592, 0.050581 / 2)
+        few = simulate_correlated(ETH_FIT, reserve, -0.4, 30, 3, seed=5)
+        many = simulate_correlated(ETH_FIT, reserve, -0.4, 30, 10, seed=5)
+        assert np.array_equal(few.collateral_paths, many.collateral_paths[:3])
+        assert np.array_equal(few.reserve_paths, many.reserve_paths[:3])
 
     def test_rho_out_of_range(self):
         with pytest.raises(InvalidParams):

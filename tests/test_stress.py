@@ -1,10 +1,11 @@
 import filecmp
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
-from defi_stress import stress
+from defi_stress import paths, stress
 from defi_stress.errors import InvalidParams, SchemaError
 from defi_stress.paths import GbmParams
 from defi_stress.protocol import LiquidityModel
@@ -64,6 +65,9 @@ class TestScenarioConfig:
             small_config(debt_levels=(1e8, 1e8))
         with pytest.raises(InvalidParams):
             small_config(liquidity_regimes=(LiquidityModel(30_000, 0.01),) * 2)
+        # Distinct values that agree to 6 significant digits share a name.
+        with pytest.raises(InvalidParams):
+            small_config(debt_levels=(1e8, 1.0000001e8))
 
 
 class TestRunScenario:
@@ -186,6 +190,38 @@ class TestCorrelationSweep:
         assert [c.first_negative_day for c in sweep[0.9].cells] == [
             c.first_negative_day for c in direct.cells
         ]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_equals_run_scenario_per_rho_with_shocks_drawn_once(
+        self, monkeypatch, threads
+    ):
+        config = small_config(
+            n_paths=300,
+            debt_levels=(1e8, 4e8),
+            liquidity_regimes=(
+                LiquidityModel(30_000, 0.0),
+                LiquidityModel(10_000, 0.01),
+            ),
+        )
+        rhos = [-0.9, 0.1, 0.9]
+        draws = []
+        increments = paths._increments
+        monkeypatch.setattr(
+            paths, "_increments", lambda *a: draws.append(a) or increments(*a)
+        )
+        sweep = correlation_sweep(config, rhos, threads=threads)
+        assert len(draws) == 2
+        assert list(sweep) == rhos
+        for rho in rhos:
+            # dataclass equality compares every field, traces included
+            assert sweep[rho] == run_scenario(
+                replace(config, rho_corr=rho), threads=threads
+            )
+
+    def test_rejects_out_of_range_rho_before_drawing(self, monkeypatch):
+        monkeypatch.setattr(paths, "_increments", None)
+        with pytest.raises(InvalidParams):
+            correlation_sweep(small_config(), [0.5, 1.5])
 
     def test_negative_correlation_bolsters_margin(self):
         config = small_config(n_paths=2000)
