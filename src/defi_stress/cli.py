@@ -12,17 +12,21 @@ import json
 import logging
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__, attack, contagion, marketdata, stress
-from .errors import InputError, NumericError, SchemaError
-from .manifest import write_manifest
+from .errors import InputError, NumericError, SchemaError, check_schema
+from .manifest import write_json, write_manifest
 
 log = logging.getLogger("defi_stress")
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
+
+PLAN_SCHEMA = "attack-plan/1"
+MODEL_SCHEMA = "contagion-model/1"
 
 
 def _reject_constant(name: str):
@@ -40,6 +44,17 @@ def _read_json(path: Path) -> tuple[dict, bytes]:
     if not isinstance(parsed, dict):
         raise SchemaError(f"{path}: expected a JSON object at the top level")
     return parsed, raw
+
+
+def _load_scenario(
+    args: argparse.Namespace,
+) -> tuple[dict, bytes, stress.ScenarioConfig]:
+    """The raw config, its bytes and the scenario, with --seed applied."""
+    raw, config_bytes = _read_json(Path(args.config))
+    config = stress.ScenarioConfig.from_dict(raw)
+    if args.seed is not None:
+        config = replace(config, seed=args.seed)
+    return raw, config_bytes, config
 
 
 def _load_books(raw_books: list) -> tuple[attack.OrderBookSnapshot, ...]:
@@ -67,12 +82,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_stress(args: argparse.Namespace) -> int:
-    raw, config_bytes = _read_json(Path(args.config))
-    config = stress.ScenarioConfig.from_dict(raw)
-    if args.seed is not None:
-        from dataclasses import replace
-
-        config = replace(config, seed=args.seed)
+    _, config_bytes, config = _load_scenario(args)
     report = stress.run_scenario(config, threads=args.threads)
     out_dir = Path(args.out)
     written = stress.write_report(report, out_dir)
@@ -82,12 +92,7 @@ def cmd_stress(args: argparse.Namespace) -> int:
 
 
 def cmd_heatmap(args: argparse.Namespace) -> int:
-    raw, config_bytes = _read_json(Path(args.config))
-    config = stress.ScenarioConfig.from_dict(raw)
-    if args.seed is not None:
-        from dataclasses import replace
-
-        config = replace(config, seed=args.seed)
+    raw, config_bytes, config = _load_scenario(args)
     grid_spec = raw.get("heatmap")
     if not grid_spec:
         raise SchemaError("config lacks a 'heatmap' section")
@@ -112,6 +117,7 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
 
 def cmd_sweep_cost(args: argparse.Namespace) -> int:
     raw, config_bytes = _read_json(Path(args.config))
+    check_schema(raw, PLAN_SCHEMA)
     try:
         books = _load_books(raw["books"])
         target = float(raw["tokens_needed"])
@@ -126,14 +132,14 @@ def cmd_sweep_cost(args: argparse.Namespace) -> int:
     }
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    report_path = out_dir / "sweep_cost.json"
-    report_path.write_text(json.dumps(report, indent=2) + "\n")
+    report_path = write_json(out_dir / "sweep_cost.json", report)
     write_manifest(out_dir, config_bytes, 0, [report_path])
     return EXIT_OK
 
 
 def cmd_attack(args: argparse.Namespace) -> int:
     raw, config_bytes = _read_json(Path(args.config))
+    check_schema(raw, PLAN_SCHEMA)
     try:
         base = dict(
             tokens_needed=float(raw["tokens_needed"]),
@@ -165,14 +171,14 @@ def cmd_attack(args: argparse.Namespace) -> int:
         }
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    report_path = out_dir / "attack_report.json"
-    report_path.write_text(json.dumps(results, indent=2) + "\n")
+    report_path = write_json(out_dir / "attack_report.json", results)
     write_manifest(out_dir, config_bytes, 0, [report_path])
     return EXIT_OK
 
 
 def cmd_contagion(args: argparse.Namespace) -> int:
     raw, config_bytes = _read_json(Path(args.config))
+    check_schema(raw, MODEL_SCHEMA)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
@@ -225,9 +231,7 @@ def cmd_contagion(args: argparse.Namespace) -> int:
         damage_path = out_dir / "damage_table.csv"
         damage_path.write_text(contagion.damage_table(scenarios))
         written.append(damage_path)
-    summary_path = out_dir / "contagion_summary.json"
-    summary_path.write_text(json.dumps(summary, indent=2) + "\n")
-    written.append(summary_path)
+    written.append(write_json(out_dir / "contagion_summary.json", summary))
     write_manifest(out_dir, config_bytes, seed, written)
     return EXIT_OK
 

@@ -122,15 +122,18 @@ def max_systemic_loss(model: CompositionModel) -> LossDistribution:
 
     Each sample draws an i.i.d. multiplier lambda_pi per protocol and sums
     (D/N) / lambda_pi over the N protocols. Deterministic given the seed.
+    A loss or mean that overflows raises FloatingPointError.
     """
     low, high = model.lambda_range
     rng = np.random.Generator(np.random.Philox(key=model.seed % 2**64))
     lams = rng.uniform(low, high, size=(model.n_samples, model.n_protocols))
     per_protocol = model.total_debt / model.n_protocols
-    losses = (per_protocol / lams).sum(axis=1)
+    with np.errstate(over="raise", invalid="raise"):
+        losses = (per_protocol / lams).sum(axis=1)
+        mean = float(losses.mean())
     return LossDistribution(
         samples=losses,
-        mean=float(losses.mean()),
+        mean=mean,
         min=float(losses.min()),
         max=float(losses.max()),
     )

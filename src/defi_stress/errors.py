@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the config schema check.
 
 Two broad families matter for the CLI exit-code mapping: input/validation
 problems (exit 2) and numeric runtime failures (exit 3).
@@ -77,3 +77,9 @@ class InvalidRange(InputError):
 
 class SchemaError(InputError):
     pass
+
+
+def check_schema(raw: dict, expected: str) -> None:
+    """Raise SchemaError unless the config's "schema" field is expected."""
+    if raw.get("schema") != expected:
+        raise SchemaError(f"expected schema {expected!r}, got {raw.get('schema')!r}")

@@ -1,36 +1,27 @@
-"""Run manifest: enough metadata to reproduce a run bit-for-bit
-(excluding its timestamp)."""
+"""Run outputs in JSON: the strict writer every JSON output goes through, and
+the run manifest, enough metadata to reproduce a run bit-for-bit (excluding
+its timestamp)."""
 
 from __future__ import annotations
 
 import datetime as dt
 import hashlib
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
+from .errors import NumericError
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    tool_version: str
-    config_digest: str
-    master_seed: int
-    created_at: str
-    outputs: tuple[str, ...]
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "tool_version": self.tool_version,
-                "config_digest": self.config_digest,
-                "master_seed": self.master_seed,
-                "created_at": self.created_at,
-                "outputs": list(self.outputs),
-            },
-            indent=2,
-        )
+def write_json(path: Path, obj) -> Path:
+    """Write obj as indented JSON plus a newline. A NaN or infinity, which
+    strict JSON cannot hold, raises NumericError and writes nothing."""
+    try:
+        text = json.dumps(obj, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise NumericError(f"{path.name}: {exc}") from exc
+    path.write_text(text + "\n")
+    return path
 
 
 def config_digest(config_bytes: bytes) -> str:
@@ -43,14 +34,13 @@ def write_manifest(
     master_seed: int,
     outputs: list[Path],
 ) -> Path:
-    out_dir = Path(out_dir)
-    manifest = RunManifest(
-        tool_version=__version__,
-        config_digest=config_digest(config_bytes),
-        master_seed=master_seed,
-        created_at=dt.datetime.now(dt.timezone.utc).isoformat(),
-        outputs=tuple(sorted(p.name for p in outputs)),
+    return write_json(
+        Path(out_dir) / "manifest.json",
+        {
+            "tool_version": __version__,
+            "config_digest": config_digest(config_bytes),
+            "master_seed": master_seed,
+            "created_at": dt.datetime.now(dt.timezone.utc).isoformat(),
+            "outputs": sorted(p.name for p in outputs),
+        },
     )
-    path = out_dir / "manifest.json"
-    path.write_text(manifest.to_json() + "\n")
-    return path

@@ -5,12 +5,12 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import chi2
 
 from .errors import (
     DegenerateSample,
@@ -37,8 +37,9 @@ class Observation:
 class PriceSeries:
     """Ordered daily OHLCV observations.
 
-    Timestamps strictly increasing, prices positive, volume non-negative;
-    enforced at construction.
+    Timestamps strictly increasing, prices finite and positive, volume
+    finite and non-negative; enforced at construction, with the offending
+    observation's index as the error row.
     """
 
     observations: tuple[Observation, ...]
@@ -46,10 +47,11 @@ class PriceSeries:
     def __post_init__(self):
         prev: dt.date | None = None
         for i, obs in enumerate(self.observations):
-            if min(obs.open, obs.high, obs.low, obs.close) <= 0:
-                raise ParseError("non-positive price", row=i)
-            if obs.volume < 0:
-                raise ParseError("negative volume", row=i)
+            prices = (obs.open, obs.high, obs.low, obs.close)
+            if not all(0 < p < math.inf for p in prices):
+                raise ParseError("price not finite and positive", row=i)
+            if not 0 <= obs.volume < math.inf:
+                raise ParseError("volume not finite and non-negative", row=i)
             if prev is not None and obs.date <= prev:
                 raise NonMonotonicTime(
                     f"timestamp {obs.date} not after {prev}"
@@ -78,8 +80,9 @@ class ReturnStats:
 def load_series(path: str | Path) -> PriceSeries:
     """Parse a `date,open,high,low,close,volume` CSV into a PriceSeries.
 
-    Dates are ISO-8601; rows are kept in file order and validated. Raises
-    ParseError with the offending row index (0-based, excluding the header).
+    Dates are ISO-8601; rows are kept in file order, blank rows skipped.
+    Raises ParseError with the offending row index (0-based, excluding the
+    header) for a malformed row; PriceSeries checks the values.
     """
     path = Path(path)
     with path.open(newline="") as fh:
@@ -107,10 +110,6 @@ def load_series(path: str | Path) -> PriceSeries:
                 )
             except ValueError as exc:
                 raise ParseError(str(exc), row=i) from exc
-            if min(obs.open, obs.high, obs.low, obs.close) <= 0:
-                raise ParseError("non-positive price", row=i)
-            if obs.volume < 0:
-                raise ParseError("negative volume", row=i)
             observations.append(obs)
     if not observations:
         raise EmptySeries(f"{path}: no valid rows")
@@ -137,7 +136,8 @@ def jarque_bera(returns: Sequence[float]) -> tuple[float, float]:
     """Jarque-Bera normality test: n/6 * (S^2 + (K-3)^2 / 4).
 
     S and K are the moment-based sample skewness and kurtosis. Returns
-    (statistic, p_value) with the p-value from a chi-squared(2) tail.
+    (statistic, p_value); the p-value is the closed-form chi-squared(2)
+    tail, exp(-statistic / 2).
     """
     r = np.asarray(returns, dtype=float)
     if r.size < 4:
@@ -151,4 +151,4 @@ def jarque_bera(returns: Sequence[float]) -> tuple[float, float]:
     skew = np.mean(centered**3) / m2**1.5
     kurt = np.mean(centered**4) / m2**2
     stat = r.size / 6.0 * (skew**2 + (kurt - 3.0) ** 2 / 4.0)
-    return float(stat), float(chi2.sf(stat, df=2))
+    return float(stat), math.exp(-stat / 2.0)

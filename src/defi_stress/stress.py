@@ -8,13 +8,13 @@ differences between cells are attributable to debt and liquidity alone.
 from __future__ import annotations
 
 import csv
-import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .errors import InvalidParams, SchemaError
+from .errors import InvalidParams, SchemaError, check_schema
+from .manifest import write_json
 from .paths import (
     GbmParams,
     PathEnsemble,
@@ -77,10 +77,7 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
-        if raw.get("schema") != CONFIG_SCHEMA:
-            raise SchemaError(
-                f"expected schema {CONFIG_SCHEMA!r}, got {raw.get('schema')!r}"
-            )
+        check_schema(raw, CONFIG_SCHEMA)
         try:
             return cls(
                 collateral_params=GbmParams(**raw["collateral"]),
@@ -96,11 +93,7 @@ class ScenarioConfig:
                 reserve_quantity=float(raw["reserve_quantity"]),
                 collateral_ratio=float(raw.get("collateral_ratio", 1.5)),
             )
-        except (KeyError, TypeError) as exc:
-            raise SchemaError(f"bad stress config: {exc}") from exc
-        except InvalidParams:
-            raise
-        except ValueError as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"bad stress config: {exc}") from exc
 
 
@@ -234,8 +227,6 @@ def heatmap(
     from the first regime of the base config unless overridden. All cells
     share the base config's seeded ensemble.
     """
-    if not debt_grid or not l0_grid:
-        raise InvalidParams("heatmap grids must be non-empty")
     rho = config.liquidity_regimes[0].rho if decay_rho is None else decay_rho
     grid_config = replace(
         config,
@@ -302,9 +293,7 @@ def write_report(report: StressReport, out_dir: str | Path) -> list[Path]:
         path = out_dir / _trace_name(c.debt, c.liquidity)
         c.trace.to_csv(path)
         written.append(path)
-    summary_path = out_dir / "summary.json"
-    summary_path.write_text(json.dumps(report_summary(report), indent=2) + "\n")
-    written.append(summary_path)
+    written.append(write_json(out_dir / "summary.json", report_summary(report)))
     return written
 
 

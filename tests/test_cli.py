@@ -10,10 +10,51 @@ import pytest
 
 import defi_stress
 from defi_stress.cli import main
+from defi_stress.errors import NumericError
+from defi_stress.manifest import write_json
 
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def python(*args):
+    """Run a fresh interpreter on this checkout's package."""
+    src = str(Path(defi_stress.__file__).parents[1])
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+    )
+    return subprocess.run(
+        [sys.executable, *map(str, args)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+
+
+def one_stderr_line(capsys, prefix):
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(prefix), err
+    return err[0]
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    proc = python(
+        "-c",
+        "import sys, defi_stress.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_write_json_rejects_non_finite(tmp_path):
+    path = tmp_path / "out.json"
+    with pytest.raises(NumericError, match="out.json"):
+        write_json(path, {"mean": math.inf})
+    assert not path.exists()
 
 
 @pytest.fixture()
@@ -42,6 +83,19 @@ class TestIngest:
         path = tmp_path / "empty.csv"
         path.write_text("")
         assert run("ingest", path) == 2
+
+    @pytest.mark.parametrize(
+        "row", ["2021-01-02,1,1,1,nan,10", "2021-01-02,1,1,1,1,inf"]
+    )
+    def test_non_finite_value_exits_2(self, tmp_path, capsys, row):
+        path = tmp_path / "prices.csv"
+        path.write_text(
+            "date,open,high,low,close,volume\n2021-01-01,1,1,1,1,10\n" + row + "\n"
+        )
+        out = tmp_path / "stats.json"
+        assert run("ingest", path, "--out", out) == 2
+        one_stderr_line(capsys, "error: row 1:")
+        assert not out.exists()
 
 
 class TestStress:
@@ -126,19 +180,8 @@ class TestStress:
         cfg["collateral"] = dict(cfg["collateral"], sigma=40)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
-        src = str(Path(defi_stress.__file__).parents[1])
-        env = dict(
-            os.environ,
-            PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
-        )
         argv = ["stress", "--config", path, "--out", tmp_path / "o"]
-        proc = subprocess.run(
-            [sys.executable, "-W", "default", "-m", "defi_stress.cli", *map(str, argv)],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=120,
-        )
+        proc = python("-W", "default", "-m", "defi_stress.cli", *argv)
         assert proc.returncode == 3
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("numeric error:"), proc.stderr
@@ -188,7 +231,13 @@ class TestSweepCost:
     def test_report(self, tmp_path, attack_plan_raw):
         cfg = tmp_path / "sweep.json"
         cfg.write_text(
-            json.dumps({"books": attack_plan_raw["books"], "tokens_needed": 50_000})
+            json.dumps(
+                {
+                    "schema": "attack-plan/1",
+                    "books": attack_plan_raw["books"],
+                    "tokens_needed": 50_000,
+                }
+            )
         )
         out = tmp_path / "out"
         assert run("sweep-cost", "--config", cfg, "--out", out) == 0
@@ -198,7 +247,13 @@ class TestSweepCost:
     def test_insufficient_depth_exits_2(self, tmp_path, attack_plan_raw):
         cfg = tmp_path / "sweep.json"
         cfg.write_text(
-            json.dumps({"books": attack_plan_raw["books"], "tokens_needed": 1e9})
+            json.dumps(
+                {
+                    "schema": "attack-plan/1",
+                    "books": attack_plan_raw["books"],
+                    "tokens_needed": 1e9,
+                }
+            )
         )
         assert run("sweep-cost", "--config", cfg, "--out", tmp_path / "o") == 2
 
@@ -215,7 +270,7 @@ class TestAttack:
 
     def test_malformed_plan_exits_2(self, tmp_path):
         cfg = tmp_path / "bad.json"
-        cfg.write_text(json.dumps({"tokens_needed": 1}))
+        cfg.write_text(json.dumps({"schema": "attack-plan/1", "tokens_needed": 1}))
         assert run("attack", "--config", cfg, "--out", tmp_path / "o") == 2
 
 
@@ -247,6 +302,7 @@ class TestContagion:
         cfg.write_text(
             json.dumps(
                 {
+                    "schema": "contagion-model/1",
                     "n_protocols": 3,
                     "total_debt": 1e8,
                     "lambda_ranges": [[0.9, 1.5]],
@@ -256,3 +312,41 @@ class TestContagion:
             )
         )
         assert run("contagion", "--config", cfg, "--out", tmp_path / "o") == 2
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_loss_exits_3(self, tmp_path, capsys):
+        cfg = tmp_path / "model.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "schema": "contagion-model/1",
+                    "n_protocols": 1,
+                    "total_debt": 1e308,
+                    "lambda_ranges": [[1.01, 1.5]],
+                    "n_samples": 10,
+                }
+            )
+        )
+        out = tmp_path / "o"
+        assert run("contagion", "--config", cfg, "--out", out) == 3
+        one_stderr_line(capsys, "numeric error:")
+        assert not (out / "contagion_summary.json").exists()
+
+
+@pytest.mark.parametrize(
+    "command, fixture",
+    [
+        ("sweep-cost", "maker_feb2020.json"),
+        ("attack", "maker_feb2020.json"),
+        ("contagion", "contagion_feb2020.json"),
+    ],
+)
+def test_wrong_schema_exits_2(data_dir, tmp_path, capsys, command, fixture):
+    cfg = tmp_path / fixture
+    cfg.write_text(
+        json.dumps(dict(json.loads((data_dir / fixture).read_text()), schema="wrong"))
+    )
+    out = tmp_path / "o"
+    assert run(command, "--config", cfg, "--out", out) == 2
+    assert "expected schema" in one_stderr_line(capsys, "error:")
+    assert not out.exists()
