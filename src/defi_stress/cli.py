@@ -46,15 +46,12 @@ def _read_json(path: Path) -> tuple[dict, bytes]:
     return parsed, raw
 
 
-def _load_scenario(
-    args: argparse.Namespace,
-) -> tuple[dict, bytes, stress.ScenarioConfig]:
-    """The raw config, its bytes and the scenario, with --seed applied."""
-    raw, config_bytes = _read_json(Path(args.config))
+def _scenario(raw: dict, args: argparse.Namespace) -> stress.ScenarioConfig:
+    """The scenario of a raw stress config, with --seed applied."""
     config = stress.ScenarioConfig.from_dict(raw)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
-    return raw, config_bytes, config
+    return config
 
 
 def _load_books(raw_books: list) -> tuple[attack.OrderBookSnapshot, ...]:
@@ -82,7 +79,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_stress(args: argparse.Namespace) -> int:
-    _, config_bytes, config = _load_scenario(args)
+    raw, config_bytes = _read_json(Path(args.config))
+    config = _scenario(raw, args)
     report = stress.run_scenario(config, threads=args.threads)
     out_dir = Path(args.out)
     written = stress.write_report(report, out_dir)
@@ -92,7 +90,7 @@ def cmd_stress(args: argparse.Namespace) -> int:
 
 
 def cmd_heatmap(args: argparse.Namespace) -> int:
-    raw, config_bytes, config = _load_scenario(args)
+    raw, config_bytes = _read_json(Path(args.config))
     grid_spec = raw.get("heatmap")
     if not grid_spec:
         raise SchemaError("config lacks a 'heatmap' section")
@@ -100,10 +98,17 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
         debt_grid = [float(d) for d in grid_spec["debt_grid"]]
         l0_grid = [float(v) for v in grid_spec["l0_grid"]]
         decay_rho = grid_spec.get("decay_rho")
-        if decay_rho is not None:
-            decay_rho = float(decay_rho)
-    except (KeyError, TypeError, ValueError) as exc:
+        if decay_rho is None:
+            decay_rho = raw["liquidity_regimes"][0].get("rho", 0.0)
+        decay_rho = float(decay_rho)
+    except (KeyError, IndexError, AttributeError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad heatmap section: {exc}") from exc
+    # The heatmap evaluates its grid in place of the config's own cells, so
+    # only the grid is validated.
+    grid = [{"l0": l0, "rho": decay_rho} for l0 in l0_grid]
+    config = _scenario(
+        dict(raw, debt_levels=debt_grid, liquidity_regimes=grid), args
+    )
     matrix = stress.heatmap(
         config, debt_grid, l0_grid, decay_rho=decay_rho, threads=args.threads
     )
@@ -179,10 +184,6 @@ def cmd_attack(args: argparse.Namespace) -> int:
 def cmd_contagion(args: argparse.Namespace) -> int:
     raw, config_bytes = _read_json(Path(args.config))
     check_schema(raw, MODEL_SCHEMA)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    summary: dict = {}
     try:
         ranges = [tuple(map(float, r)) for r in raw.get("lambda_ranges", [])]
         seed = int(args.seed if args.seed is not None else raw.get("seed", 0))
@@ -191,16 +192,24 @@ def cmd_contagion(args: argparse.Namespace) -> int:
         total_debt = float(raw.get("total_debt", 0))
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"bad contagion model: {exc}") from exc
-    if ranges:
+    models = [
+        contagion.CompositionModel(
+            n_protocols=n_protocols,
+            total_debt=total_debt,
+            lambda_range=(low, high),
+            seed=seed,
+            n_samples=n_samples,
+        )
+        for low, high in ranges
+    ]
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    written = []
+    summary: dict = {}
+    if models:
         summary["losses"] = {}
-        for low, high in ranges:
-            model = contagion.CompositionModel(
-                n_protocols=n_protocols,
-                total_debt=total_debt,
-                lambda_range=(low, high),
-                seed=seed,
-                n_samples=n_samples,
-            )
+        for model in models:
+            low, high = model.lambda_range
             dist = contagion.max_systemic_loss(model)
             name = f"losses_{low:g}-{high:g}.csv"
             contagion.write_loss_csv(dist, out_dir / name)
@@ -257,7 +266,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument(
-            "--threads", type=int, default=1, help="worker threads (results unaffected)"
+            "--threads",
+            type=int,
+            default=1,
+            help="accepted for compatibility; no effect",
         )
 
     for name, func, help_text in [

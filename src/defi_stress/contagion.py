@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -74,6 +75,8 @@ class CompositionModel:
     def __post_init__(self):
         if self.n_protocols < 1:
             raise InvalidParams("need at least one protocol")
+        if not all(map(math.isfinite, (self.total_debt, *self.lambda_range))):
+            raise InvalidParams("total debt and lambda range must be finite")
         if self.total_debt <= 0:
             raise InvalidParams("total debt must be > 0")
         low, high = self.lambda_range
@@ -164,9 +167,17 @@ def parse_damage_table(text: str) -> list[DamageScenario]:
     ]
 
 
+# Rows joined into one string per write: fast, and memory stays bounded.
+_ROWS_PER_WRITE = 8192
+
+
 def write_loss_csv(dist: LossDistribution, path: str | Path) -> None:
+    """One "sample,loss" row per sample, as csv.writer would write them
+    (floats in repr form, CRLF line ends)."""
     with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample", "loss"])
-        for i, loss in enumerate(dist.samples):
-            writer.writerow([i, loss])
+        fh.write("sample,loss\r\n")
+        for start in range(0, len(dist.samples), _ROWS_PER_WRITE):
+            block = dist.samples[start : start + _ROWS_PER_WRITE].tolist()
+            fh.write(
+                "".join(f"{i},{x!r}\r\n" for i, x in enumerate(block, start))
+            )

@@ -1,6 +1,6 @@
 """Run outputs in JSON: the strict writer every JSON output goes through, and
 the run manifest, enough metadata to reproduce a run bit-for-bit (excluding
-its timestamp)."""
+its timestamp): config digest, seed, numpy version and path RNG scheme."""
 
 from __future__ import annotations
 
@@ -9,8 +9,11 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .errors import NumericError
+from .paths import RNG_SCHEME
 
 
 def write_json(path: Path, obj) -> Path:
@@ -42,5 +45,7 @@ def write_manifest(
             "master_seed": master_seed,
             "created_at": dt.datetime.now(dt.timezone.utc).isoformat(),
             "outputs": sorted(p.name for p in outputs),
+            "numpy_version": np.__version__,
+            "rng_scheme": RNG_SCHEME,
         },
     )

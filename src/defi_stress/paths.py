@@ -10,12 +10,17 @@ same stream as a fresh generator per path.
 Shocks and prices are stored day-major, (days, paths), so the liquidation
 engine's read of one day across all paths is contiguous. The arrays handed
 out are transposed views of those buffers, with shape (paths, days).
+
+Because path k depends only on its key, an ensemble can be drawn in chunks
+of CHUNK_PATHS paths (`correlated_chunks`), and any single path re-drawn on
+its own (`correlated_path`), with the same bits as a whole-ensemble draw.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -23,6 +28,12 @@ from .errors import InvalidParams
 
 COLLATERAL = 0
 RESERVE = 1
+
+# Paths drawn, priced and liquidated together; memory is bounded by one chunk
+# of every array, whatever the ensemble size.
+CHUNK_PATHS = 2048
+# Identifies the shock scheme above in run manifests.
+RNG_SCHEME = "philox-per-path/1"
 
 
 @dataclass(frozen=True)
@@ -34,6 +45,8 @@ class GbmParams:
     sigma: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.p0, self.mu, self.sigma))):
+            raise InvalidParams("GBM parameters must be finite")
         if self.p0 <= 0:
             raise InvalidParams("initial price must be > 0")
         if self.sigma < 0:
@@ -52,13 +65,14 @@ class PathEnsemble:
 
 
 def _increments(
-    seed: int, asset_index: int, horizon_days: int, n_paths: int
+    seed: int, asset_index: int, horizon_days: int, n_paths: int, start: int = 0
 ) -> np.ndarray:
     """Standard-normal daily shocks, day-major: shape (horizon_days, n_paths).
 
-    Column k is the stream of a fresh Philox keyed on
-    (seed mod 2**64, k << 1 | asset_index). One bit generator is reset to
-    each path's key and to the counter and buffer a fresh one starts with.
+    Column j is the stream of path k = start + j, that of a fresh Philox
+    keyed on (seed mod 2**64, k << 1 | asset_index). One bit generator is
+    reset to each path's key and to the counter and buffer a fresh one
+    starts with.
     """
     key = np.array([seed % 2**64, 0], dtype=np.uint64)
     bit_generator = np.random.Philox(key=key)
@@ -66,22 +80,26 @@ def _increments(
     fresh = bit_generator.state
     path_key = fresh["state"]["key"]
     z = np.empty((horizon_days, n_paths))
-    for k in range(n_paths):
-        path_key[1] = (k << 1) | asset_index
+    for j in range(n_paths):
+        path_key[1] = ((start + j) << 1) | asset_index
         bit_generator.state = fresh
-        z[:, k] = generator.standard_normal(horizon_days)
+        z[:, j] = generator.standard_normal(horizon_days)
     return z
 
 
-def _prices_from_shocks(params: GbmParams, z: np.ndarray) -> np.ndarray:
+def _prices_from_shocks(
+    params: GbmParams, z: np.ndarray, prices: np.ndarray | None = None
+) -> np.ndarray:
     """P_t = p0 * exp((mu - sigma^2/2) t + sigma W_t), W_t = cumsum of shocks.
 
     z is day-major, (horizon, n_paths); so is the result, (horizon + 1,
-    n_paths), built in one buffer.
+    n_paths), built in one buffer: prices if given, else a new one. z may be
+    prices[1:] itself.
     """
     horizon, n_paths = z.shape
     drift = params.mu - params.sigma**2 / 2.0
-    prices = np.empty((horizon + 1, n_paths))
+    if prices is None:
+        prices = np.empty((horizon + 1, n_paths))
     prices[0] = 0.0
     log_steps = prices[1:]
     np.multiply(params.sigma, z, out=log_steps)
@@ -117,6 +135,89 @@ def simulate_gbm(
     return _prices_from_shocks(params, z).T
 
 
+def _correlated_prices(
+    collateral: GbmParams,
+    reserve: GbmParams,
+    rhos: Sequence[float],
+    horizon_days: int,
+    n_paths: int,
+    seed: int,
+    start: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Day-major prices of paths start .. start + n_paths - 1: collateral,
+    (horizon + 1, n_paths), and reserve, (len(rhos), horizon + 1, n_paths).
+
+    The reserve shock for correlation rho is
+    rho * z_col + sqrt(1 - rho^2) * z_indep, so each asset's marginal law
+    matches `simulate_gbm`, and the collateral prices are bit-identical to a
+    standalone collateral simulation under the same seed.
+    """
+    z_col = _increments(seed, COLLATERAL, horizon_days, n_paths, start)
+    z_ind = _increments(seed, RESERVE, horizon_days, n_paths, start)
+    collateral_prices = _prices_from_shocks(collateral, z_col)
+    reserve_prices = np.empty((len(rhos), horizon_days + 1, n_paths))
+    scaled = np.empty_like(z_ind)
+    for prices, rho in zip(reserve_prices, rhos):
+        z_res = prices[1:]
+        np.multiply(rho, z_col, out=z_res)
+        np.multiply(np.sqrt(1.0 - rho**2), z_ind, out=scaled)
+        np.add(z_res, scaled, out=z_res)
+        _prices_from_shocks(reserve, z_res, prices)
+    return collateral_prices, reserve_prices
+
+
+def correlated_chunks(
+    collateral: GbmParams,
+    reserve: GbmParams,
+    rhos: Sequence[float],
+    horizon_days: int,
+    n_paths: int,
+    seed: int,
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """The ensemble of `simulate_correlated`, for every rho in rhos at once,
+    in consecutive chunks of up to CHUNK_PATHS paths.
+
+    Yields (start, collateral prices, reserve prices) for paths start,
+    start + 1, ...: day-major collateral prices, (horizon + 1, chunk), and
+    reserve prices per rho, (len(rhos), horizon + 1, chunk). Each chunk's
+    shocks are drawn once and its collateral prices built once for all
+    rhos. The arguments are checked before the first shock is drawn.
+    """
+    for rho in rhos:
+        _check_rho(rho)
+    _check_size(horizon_days, n_paths)
+    chunk = CHUNK_PATHS
+
+    def chunks():
+        for start in range(0, n_paths, chunk):
+            n = min(chunk, n_paths - start)
+            yield start, *_correlated_prices(
+                collateral, reserve, rhos, horizon_days, n, seed, start
+            )
+
+    return chunks()
+
+
+def correlated_path(
+    collateral: GbmParams,
+    reserve: GbmParams,
+    rho: float,
+    horizon_days: int,
+    seed: int,
+    k: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Path k of `simulate_correlated`'s ensemble, drawn on its own: the
+    collateral and reserve prices, each of length horizon_days + 1."""
+    _check_rho(rho)
+    _check_size(horizon_days, 1)
+    if k < 0:
+        raise InvalidParams("path index must be >= 0")
+    collateral_prices, reserve_prices = _correlated_prices(
+        collateral, reserve, (rho,), horizon_days, 1, seed, k
+    )
+    return collateral_prices[:, 0], reserve_prices[0, :, 0]
+
+
 def simulate_correlated(
     collateral: GbmParams,
     reserve: GbmParams,
@@ -127,73 +228,26 @@ def simulate_correlated(
 ) -> PathEnsemble:
     """Simulate both assets with correlated daily shocks.
 
-    The reserve shock is rho * z_col + sqrt(1 - rho^2) * z_indep, so each
-    asset's marginal law matches `simulate_gbm` and the collateral matrix is
-    bit-identical to a standalone collateral simulation under the same seed.
+    The reserve shock is rho * z_col + sqrt(1 - rho^2) * z_indep (see
+    `correlated_chunks`, which draws the ensemble chunk by chunk).
     """
-    _check_rho(rho)
-    _check_size(horizon_days, n_paths)
-    z_col = _increments(seed, COLLATERAL, horizon_days, n_paths)
-    collateral_paths = _prices_from_shocks(collateral, z_col)
-    # The reserve shock is formed in the two shock buffers, so no more than
-    # three (days, paths) arrays are alive at once.
-    z_col *= rho
-    z_res = _increments(seed, RESERVE, horizon_days, n_paths)
-    z_res *= np.sqrt(1.0 - rho**2)
-    np.add(z_col, z_res, out=z_res)
-    del z_col
+    chunks = correlated_chunks(
+        collateral, reserve, (rho,), horizon_days, n_paths, seed
+    )
+    collateral_paths = np.empty((horizon_days + 1, n_paths))
+    reserve_paths = np.empty_like(collateral_paths)
+    for start, collateral_prices, reserve_prices in chunks:
+        stop = start + collateral_prices.shape[1]
+        collateral_paths[:, start:stop] = collateral_prices
+        reserve_paths[:, start:stop] = reserve_prices[0]
     return PathEnsemble(
         horizon_days=horizon_days,
         n_paths=n_paths,
         seed=seed,
         correlation=rho,
         collateral_paths=collateral_paths.T,
-        reserve_paths=_prices_from_shocks(reserve, z_res).T,
+        reserve_paths=reserve_paths.T,
     )
-
-
-def sweep_correlated(
-    collateral: GbmParams,
-    reserve: GbmParams,
-    rhos: Sequence[float],
-    horizon_days: int,
-    n_paths: int,
-    seed: int,
-    evaluate: Callable[[PathEnsemble], object],
-) -> list:
-    """evaluate(simulate_correlated(collateral, reserve, rho, ...)) for each
-    rho in turn, with equal ensembles, byte for byte.
-
-    The shocks are drawn and the collateral prices built once for all rhos;
-    only the reserve prices are built per rho, and each rho's are released
-    before the next rho's are built. The shared arrays are read-only.
-    """
-    for rho in rhos:
-        _check_rho(rho)
-    _check_size(horizon_days, n_paths)
-    z_col = _increments(seed, COLLATERAL, horizon_days, n_paths)
-    z_ind = _increments(seed, RESERVE, horizon_days, n_paths)
-    collateral_paths = _prices_from_shocks(collateral, z_col).T
-    collateral_paths.setflags(write=False)
-    results = []
-    for rho in rhos:
-        z_res = rho * z_col
-        z_res += np.sqrt(1.0 - rho**2) * z_ind
-        reserve_paths = _prices_from_shocks(reserve, z_res).T
-        del z_res
-        reserve_paths.setflags(write=False)
-        ensemble = PathEnsemble(
-            horizon_days=horizon_days,
-            n_paths=n_paths,
-            seed=seed,
-            correlation=rho,
-            collateral_paths=collateral_paths,
-            reserve_paths=reserve_paths,
-        )
-        results.append(evaluate(ensemble))
-        # Release this rho's prices before the next rho's are built.
-        del ensemble, reserve_paths
-    return results
 
 
 def select_worst_path(

@@ -60,6 +60,8 @@ class LiquidityModel:
     rho: float = 0.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.l0) and math.isfinite(self.rho)):
+            raise InvalidParams("liquidity parameters must be finite")
         if self.l0 < 0 or self.rho < 0:
             raise InvalidParams("liquidity parameters must be >= 0")
 
@@ -89,6 +91,11 @@ class LiquidationSetup:
     collateral_ratio: float = 1.5
 
     def __post_init__(self):
+        values = (self.debt, self.reserve_quantity, self.collateral_ratio)
+        if not all(map(math.isfinite, values)):
+            raise InvalidParams(
+                "debt, reserve quantity and collateral ratio must be finite"
+            )
         if self.debt < 0:
             raise InvalidParams("debt must be >= 0")
         if self.collateral_ratio <= 0:
@@ -193,15 +200,22 @@ def participation_ok(p: CounterpartyParams) -> bool:
 
 
 def _liquidate(
-    debt0: float,
-    coll0: float,
+    debt0: np.ndarray,
+    coll0: np.ndarray,
     reserve: float,
-    liquidity: LiquidityModel,
-    collateral_paths: np.ndarray,
-    reserve_paths: np.ndarray,
+    caps: np.ndarray,
+    collateral_prices: np.ndarray,
+    reserve_prices: np.ndarray,
     record: Callable[[int, np.ndarray, tuple[np.ndarray, ...]], None],
 ) -> None:
-    """The daily liquidation rule, run on every path at once.
+    """The daily liquidation rule, run on a block of rows x paths at once.
+
+    Row r starts with debt0[r] and coll0[r] (each a (rows, 1) column) and
+    every row holds the same reserve units; caps[t] holds every row's
+    sellable units on day t, (rows, 1). Prices are day-major:
+    collateral_prices is (days, paths), reserve_prices (groups, days,
+    paths), and every row runs against every group's reserve prices, so the
+    block has shape (groups, rows, paths).
 
     Each day t the protocol sells u_t = min(L(t), collateral left,
     debt left / price) on every path whose debt is outstanding; proceeds
@@ -210,34 +224,56 @@ def _liquidate(
     once its debt is discharged, and the loop once every path has stopped.
 
     After each day's sale it calls record(t, active, columns). active marks
-    the paths whose debt was outstanding that morning; columns hold every
-    path's collateral price, reserve price, units sold, proceeds, debt left,
-    collateral left and margin, in LiquidationTrace's column order; active
-    is updated in place after record returns. A zero price raises
-    FloatingPointError instead of warning.
+    the block entries whose debt was outstanding that morning; columns hold
+    the collateral price, reserve price, units sold, proceeds, debt left,
+    collateral left and margin, in LiquidationTrace's column order, each
+    broadcastable to the block. Every array passed is a buffer reused on
+    the next day, and active is updated in place after record returns. A
+    zero price raises FloatingPointError instead of warning.
     """
-    if collateral_paths.shape != reserve_paths.shape:
+    if reserve_prices.shape[1:] != collateral_prices.shape:
         raise HorizonMismatch("collateral and reserve paths must share a shape")
-    n_paths, n_days = collateral_paths.shape
-    debt = np.full(n_paths, float(debt0))
-    coll = np.full(n_paths, float(coll0))
-    active = np.ones(n_paths, dtype=bool)
+    n_days, n_paths = collateral_prices.shape
+    shape = (len(reserve_prices), len(debt0), n_paths)
+    debt = np.empty(shape)
+    debt[...] = debt0
+    coll = np.empty(shape)
+    coll[...] = coll0
+    discharge_floor = _DEBT_EPS * debt0
+    active = np.ones(shape, dtype=bool)
+    discharged = np.empty(shape, dtype=bool)
+    u, proceeds, margin = (np.empty(shape) for _ in range(3))
+    reserve_value = np.empty((shape[0], 1, n_paths))
     with np.errstate(divide="raise", invalid="raise"):
         for t in range(n_days):
             if not active.any():
                 break
-            p_col = collateral_paths[:, t]
-            p_res = reserve_paths[:, t]
-            cap = liquidity_at(liquidity, t)
-            u = np.where(active, np.minimum(np.minimum(cap, coll), debt / p_col), 0.0)
-            proceeds = u * p_col
-            debt = np.maximum(debt - proceeds, 0.0)
-            debt[debt <= _DEBT_EPS * debt0] = 0.0
-            coll = coll - u
-            margin = coll * p_col + reserve * p_res - debt
+            p_col = collateral_prices[t]
+            p_res = reserve_prices[:, t, None]
+            # A stopped path owes nothing, so it sells min(cap, coll, 0) = 0
+            # and its debt stays 0: no mask is needed until the discharge.
+            np.minimum(caps[t], coll, out=u)
+            np.divide(debt, p_col, out=proceeds)
+            np.minimum(u, proceeds, out=u)
+            np.multiply(u, p_col, out=proceeds)
+            np.subtract(debt, proceeds, out=debt)
+            np.maximum(debt, 0.0, out=debt)
+            np.less_equal(debt, discharge_floor, out=discharged)
+            np.logical_and(discharged, active, out=discharged)
+            np.copyto(debt, 0.0, where=discharged)
+            np.subtract(coll, u, out=coll)
+            np.multiply(coll, p_col, out=margin)
+            np.multiply(reserve, p_res, out=reserve_value)
+            np.add(margin, reserve_value, out=margin)
+            np.subtract(margin, debt, out=margin)
             record(t, active, (p_col, p_res, u, proceeds, debt, coll, margin))
-            discharged = active & (debt == 0.0)
-            active &= ~discharged
+            np.logical_xor(active, discharged, out=active)
+
+
+def _caps(liquidity: Sequence[LiquidityModel], n_days: int) -> np.ndarray:
+    """Sellable units per day and regime, (n_days, len(liquidity), 1)."""
+    caps = [[liquidity_at(model, t) for model in liquidity] for t in range(n_days)]
+    return np.array(caps)[..., None]
 
 
 def run_liquidation(
@@ -254,20 +290,76 @@ def run_liquidation(
     def record(t, _, values):
         days.append(t)
         for column, value in zip(columns, values):
-            column.append(float(value[0]))
+            column.append(value.item())
         if trace.margins[-1] < 0 and trace.first_negative_day is None:
             trace.first_negative_day = t
 
+    collateral_prices = np.asarray(collateral_path, dtype=float).reshape(-1, 1)
     _liquidate(
-        initial.debt,
-        initial.total_collateral_units(),
+        np.array([[float(initial.debt)]]),
+        np.array([[float(initial.total_collateral_units())]]),
         initial.reserve_quantity,
-        liquidity,
-        np.asarray(collateral_path, dtype=float).reshape(1, -1),
-        np.asarray(reserve_path, dtype=float).reshape(1, -1),
+        _caps([liquidity], len(collateral_prices)),
+        collateral_prices,
+        np.asarray(reserve_path, dtype=float).reshape(1, -1, 1),
         record,
     )
     return trace
+
+
+def liquidate_cells(
+    setups: Sequence[LiquidationSetup],
+    collateral_prices: np.ndarray,
+    reserve_prices: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Liquidation of every setup over every path of a day-major block.
+
+    collateral_prices is (days, paths) and reserve_prices (groups, days,
+    paths), one reserve-price row per group (such as one per correlation).
+    The setups must share one reserve quantity. Returns
+    (first_negative_day, terminal_margin) arrays of shape
+    (groups, len(setups), paths); first_negative_day is -1 where the margin
+    never turns negative. Once a path's debt is discharged its margin is
+    frozen at that day.
+    """
+    reserve = {s.reserve_quantity for s in setups}
+    if len(reserve) != 1:
+        raise InvalidParams("setups must share one reserve quantity")
+    p0 = float(collateral_prices[0, 0])
+    shape = (len(reserve_prices), len(setups), collateral_prices.shape[1])
+    last_day = len(collateral_prices) - 1
+    first_neg = np.full(shape, -1, dtype=np.int64)
+    terminal = np.empty(shape)
+    event, mask = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
+
+    def record(t, active, columns):
+        *_, debt, _, margin = columns
+        # The first day an active path's margin is negative.
+        np.less(margin, 0.0, out=event)
+        np.logical_and(event, active, out=event)
+        np.less(first_neg, 0, out=mask)
+        np.logical_and(event, mask, out=event)
+        np.copyto(first_neg, t, where=event)
+        # The terminal margin is the margin on a path's last active day: the
+        # day its debt is discharged, or the last day of the horizon.
+        if t == last_day:
+            np.copyto(terminal, margin, where=active)
+            return
+        np.equal(debt, 0.0, out=mask)
+        np.logical_and(mask, active, out=mask)
+        if mask.any():
+            np.copyto(terminal, margin, where=mask)
+
+    _liquidate(
+        np.array([[float(s.debt)] for s in setups]),
+        np.array([[s.initial_collateral_units(p0)] for s in setups]),
+        reserve.pop(),
+        _caps([s.liquidity for s in setups], len(collateral_prices)),
+        collateral_prices,
+        reserve_prices,
+        record,
+    )
+    return first_neg, terminal
 
 
 def liquidate_ensemble(
@@ -275,29 +367,13 @@ def liquidate_ensemble(
     collateral_paths: np.ndarray,
     reserve_paths: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Liquidation over a whole path ensemble.
+    """Liquidation over a whole path ensemble, (n_paths, days) each.
 
     Returns (first_negative_day, terminal_margin) arrays, one entry per
     path; first_negative_day is -1 where the margin never turns negative.
     Once a path's debt is discharged its margin is frozen at that day.
     """
-    n_paths = collateral_paths.shape[0]
-    p0 = float(collateral_paths[0, 0])
-    first_neg = np.full(n_paths, -1, dtype=np.int64)
-    terminal = np.empty(n_paths)
-
-    def record(t, active, columns):
-        margin = columns[-1]
-        first_neg[active & (margin < 0) & (first_neg < 0)] = t
-        terminal[active] = margin[active]
-
-    _liquidate(
-        setup.debt,
-        setup.initial_collateral_units(p0),
-        setup.reserve_quantity,
-        setup.liquidity,
-        collateral_paths,
-        reserve_paths,
-        record,
+    first_neg, terminal = liquidate_cells(
+        [setup], collateral_paths.T, reserve_paths.T[None]
     )
-    return first_neg, terminal
+    return first_neg[0, 0], terminal[0, 0]

@@ -3,32 +3,33 @@ regimes, worst-case trace extraction, heatmap grids and correlation sweeps.
 
 All cells of one report are computed from a single seeded ensemble, so
 differences between cells are attributable to debt and liquidity alone.
+
+One pipeline serves every entry point. The ensemble is drawn in chunks of
+`paths.CHUNK_PATHS` paths; on each chunk every (correlation, debt, regime)
+row is liquidated in one block, and each row keeps only its running worst
+path, so memory does not grow with the number of paths. A worst path's
+trace comes from re-drawing that one path.
 """
 
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from .errors import InvalidParams, SchemaError, check_schema
 from .manifest import write_json
-from .paths import (
-    GbmParams,
-    PathEnsemble,
-    select_worst_path,
-    simulate_correlated,
-    sweep_correlated,
-)
+from .paths import GbmParams, correlated_chunks, correlated_path
 from .protocol import (
     CollateralPosition,
     LiquidationSetup,
     LiquidationTrace,
     LiquidityModel,
     ProtocolState,
-    liquidate_ensemble,
+    liquidate_cells,
     run_liquidation,
 )
 
@@ -61,15 +62,14 @@ class ScenarioConfig:
         # Each cell writes its trace to a file named by its (debt, regime)
         # pair, to 6 significant digits.
         names = set()
-        for debt in self.debt_levels:
-            for regime in self.liquidity_regimes:
-                name = _trace_name(debt, regime)
-                if name in names:
-                    raise InvalidParams(
-                        f"two cells would write {name}: debt levels and "
-                        "liquidity regimes must differ in 6 significant digits"
-                    )
-                names.add(name)
+        for setup in self.setups():
+            name = _trace_name(setup.debt, setup.liquidity)
+            if name in names:
+                raise InvalidParams(
+                    f"two cells would write {name}: debt levels and "
+                    "liquidity regimes must differ in 6 significant digits"
+                )
+            names.add(name)
         if self.horizon_days < 1:
             raise InvalidParams("horizon must be >= 1 day")
         if not -1.0 <= self.rho_corr <= 1.0:
@@ -95,6 +95,19 @@ class ScenarioConfig:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"bad stress config: {exc}") from exc
+
+    def setups(self) -> list[LiquidationSetup]:
+        """One setup per (debt level, liquidity regime) cell, debt-major."""
+        return [
+            LiquidationSetup(
+                debt=debt,
+                liquidity=regime,
+                reserve_quantity=self.reserve_quantity,
+                collateral_ratio=self.collateral_ratio,
+            )
+            for debt in self.debt_levels
+            for regime in self.liquidity_regimes
+        ]
 
 
 @dataclass(frozen=True)
@@ -122,96 +135,126 @@ class StressReport:
         raise KeyError((debt, liquidity))
 
 
-def _ensemble(config: ScenarioConfig) -> PathEnsemble:
-    return simulate_correlated(
+class _WorstPaths:
+    """Running worst-path reduction of every (correlation, cell) row over
+    the chunks of one ensemble, folded in path order.
+
+    Per row it keeps the smallest (first negative day, path index) and the
+    smallest terminal margin with the lowest path index on ties, which is
+    what `paths.select_worst_path` and `np.argmin` pick on the whole
+    ensemble.
+    """
+
+    _NO_EVENT = np.iinfo(np.int64).max
+
+    def __init__(self, rows: tuple[int, int]):
+        self.day = np.full(rows, self._NO_EVENT)
+        self.day_index = np.zeros(rows, dtype=np.int64)
+        self.margin = np.full(rows, np.inf)
+        self.margin_index = np.zeros(rows, dtype=np.int64)
+
+    def fold(self, start: int, first_neg: np.ndarray, terminal: np.ndarray) -> None:
+        """Merge the (rows, chunk) results of paths start, start + 1, ..."""
+        days = np.where(first_neg >= 0, first_neg, self._NO_EVENT)
+        for best, best_index, values in (
+            (self.day, self.day_index, days),
+            (self.margin, self.margin_index, terminal),
+        ):
+            local = values.argmin(axis=-1)
+            smallest = np.take_along_axis(values, local[..., None], -1)[..., 0]
+            # Strict: on a tie the earlier chunk holds the lower index.
+            better = smallest < best
+            best[better] = smallest[better]
+            best_index[better] = start + local[better]
+
+    def cell(self, group: int, row: int) -> tuple[int, int | None, float]:
+        """(worst path index, its first negative day, lowest terminal margin)."""
+        min_terminal = float(self.margin[group, row])
+        day = int(self.day[group, row])
+        if day == self._NO_EVENT:
+            return int(self.margin_index[group, row]), None, min_terminal
+        return int(self.day_index[group, row]), day, min_terminal
+
+
+def _worst_paths(config: ScenarioConfig, rhos: Sequence[float]) -> _WorstPaths:
+    """Every cell of config under every correlation in rhos, reduced over
+    config's seeded ensemble one chunk of paths at a time."""
+    setups = config.setups()
+    worst = _WorstPaths((len(rhos), len(setups)))
+    for start, collateral_prices, reserve_prices in correlated_chunks(
         config.collateral_params,
         config.reserve_params,
-        config.rho_corr,
+        rhos,
         config.horizon_days,
         config.n_paths,
         config.seed,
-    )
+    ):
+        worst.fold(start, *liquidate_cells(setups, collateral_prices, reserve_prices))
+        # Release this chunk before the next one is drawn.
+        del collateral_prices, reserve_prices
+    return worst
 
 
-def _cells(
-    config: ScenarioConfig,
-    ensemble: PathEnsemble,
-    evaluate: Callable[[PathEnsemble, LiquidationSetup], object],
-    threads: int,
-) -> list:
-    """evaluate(ensemble, setup) for every (debt level, liquidity regime)
-    cell of config, debt-major, all cells sharing one seeded ensemble."""
-    setups = [
-        LiquidationSetup(
-            debt=debt,
-            liquidity=regime,
-            reserve_quantity=config.reserve_quantity,
-            collateral_ratio=config.collateral_ratio,
+def _reports(config: ScenarioConfig, rhos: Sequence[float]) -> list[StressReport]:
+    """One report per correlation in rhos, each with the worst-path trace of
+    every cell, from one pass over the chunks of the ensemble."""
+    setups = config.setups()
+    worst = _worst_paths(config, rhos)
+    p0 = config.collateral_params.p0
+    reports = []
+    for group, rho in enumerate(rhos):
+        cells = []
+        for row, setup in enumerate(setups):
+            idx, day, min_terminal = worst.cell(group, row)
+            collateral_path, reserve_path = correlated_path(
+                config.collateral_params,
+                config.reserve_params,
+                rho,
+                config.horizon_days,
+                config.seed,
+                idx,
+            )
+            state = ProtocolState(
+                positions=(
+                    CollateralPosition(
+                        "collateral", setup.initial_collateral_units(p0)
+                    ),
+                ),
+                reserve_quantity=setup.reserve_quantity,
+                debt=setup.debt,
+            )
+            trace = run_liquidation(
+                state, collateral_path, reserve_path, setup.liquidity
+            )
+            cells.append(
+                CellResult(
+                    debt=setup.debt,
+                    liquidity=setup.liquidity,
+                    worst_path_index=idx,
+                    first_negative_day=day,
+                    terminal_margin=trace.terminal_margin,
+                    min_terminal_margin=min_terminal,
+                    trace=trace,
+                )
+            )
+        reports.append(
+            StressReport(
+                seed=config.seed,
+                n_paths=config.n_paths,
+                rho_corr=rho,
+                cells=tuple(cells),
+            )
         )
-        for debt in config.debt_levels
-        for regime in config.liquidity_regimes
-    ]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda s: evaluate(ensemble, s), setups))
-    return [evaluate(ensemble, s) for s in setups]
-
-
-def _worst_path(
-    ensemble: PathEnsemble, setup: LiquidationSetup
-) -> tuple[int, int | None, float]:
-    """(worst path index, its first negative day, lowest terminal margin)."""
-    first_neg, terminal = liquidate_ensemble(
-        setup, ensemble.collateral_paths, ensemble.reserve_paths
-    )
-    idx, day = select_worst_path(first_neg, terminal)
-    return idx, day, float(terminal.min())
-
-
-def _evaluate_cell(ensemble: PathEnsemble, setup: LiquidationSetup) -> CellResult:
-    idx, day, min_terminal = _worst_path(ensemble, setup)
-    p0 = float(ensemble.collateral_paths[0, 0])
-    state = ProtocolState(
-        positions=(
-            CollateralPosition("collateral", setup.initial_collateral_units(p0)),
-        ),
-        reserve_quantity=setup.reserve_quantity,
-        debt=setup.debt,
-    )
-    trace = run_liquidation(
-        state,
-        ensemble.collateral_paths[idx],
-        ensemble.reserve_paths[idx],
-        setup.liquidity,
-    )
-    return CellResult(
-        debt=setup.debt,
-        liquidity=setup.liquidity,
-        worst_path_index=idx,
-        first_negative_day=day,
-        terminal_margin=trace.terminal_margin,
-        min_terminal_margin=min_terminal,
-        trace=trace,
-    )
+    return reports
 
 
 def run_scenario(config: ScenarioConfig, threads: int = 1) -> StressReport:
     """Simulate one shared ensemble and record the worst-case trace for every
-    (debt level, liquidity regime) cell. Deterministic for a fixed config,
-    whatever the thread count."""
-    return _report(config, _ensemble(config), threads)
+    (debt level, liquidity regime) cell. Deterministic for a fixed config.
 
-
-def _report(
-    config: ScenarioConfig, ensemble: PathEnsemble, threads: int
-) -> StressReport:
-    cells = tuple(_cells(config, ensemble, _evaluate_cell, threads))
-    return StressReport(
-        seed=config.seed,
-        n_paths=config.n_paths,
-        rho_corr=ensemble.correlation,
-        cells=cells,
-    )
+    threads is accepted for compatibility and has no effect.
+    """
+    return _reports(config, [config.rho_corr])[0]
 
 
 def heatmap(
@@ -225,7 +268,7 @@ def heatmap(
 
     Rows follow debt_grid, columns l0_grid. The liquidity decay rate comes
     from the first regime of the base config unless overridden. All cells
-    share the base config's seeded ensemble.
+    share the base config's seeded ensemble. threads has no effect.
     """
     rho = config.liquidity_regimes[0].rho if decay_rho is None else decay_rho
     grid_config = replace(
@@ -233,12 +276,8 @@ def heatmap(
         debt_levels=tuple(debt_grid),
         liquidity_regimes=tuple(LiquidityModel(l0=l0, rho=rho) for l0 in l0_grid),
     )
-    days = _cells(
-        grid_config,
-        _ensemble(grid_config),
-        lambda e, s: _worst_path(e, s)[1],
-        threads,
-    )
+    worst = _worst_paths(grid_config, [grid_config.rho_corr])
+    days = [worst.cell(0, row)[1] for row in range(len(debt_grid) * len(l0_grid))]
     width = len(l0_grid)
     return [days[i : i + width] for i in range(0, len(days), width)]
 
@@ -249,19 +288,11 @@ def correlation_sweep(
     """One report per correlation level, same seed, so differences across
     reports isolate the correlation effect.
 
-    Each report equals run_scenario(replace(config, rho_corr=rho), threads);
-    the shocks and collateral prices are computed once for all levels.
+    Each report equals run_scenario(replace(config, rho_corr=rho)); every
+    level's cells are liquidated together on each chunk of paths, whose
+    shocks and collateral prices are computed once. threads has no effect.
     """
-    reports = sweep_correlated(
-        config.collateral_params,
-        config.reserve_params,
-        rhos,
-        config.horizon_days,
-        config.n_paths,
-        config.seed,
-        lambda ensemble: _report(config, ensemble, threads),
-    )
-    return dict(zip(rhos, reports))
+    return dict(zip(rhos, _reports(config, rhos)))
 
 
 def report_summary(report: StressReport) -> dict:

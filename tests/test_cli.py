@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import defi_stress
@@ -109,6 +110,8 @@ class TestStress:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["master_seed"] == 42
         assert len(manifest["config_digest"]) == 64
+        assert manifest["numpy_version"] == np.__version__
+        assert manifest["rng_scheme"] == "philox-per-path/1"
 
     def test_rerun_byte_identical_except_manifest_timestamp(
         self, small_stress_config, tmp_path
@@ -159,8 +162,20 @@ class TestStress:
             lambda c: dict(c, reserve_quantity=math.inf),
             lambda c: dict(c, reserve=dict(c["reserve"], mu=-math.inf)),
             lambda c: [1, 2],
+            # Numbers given as strings pass float() but are not finite.
+            lambda c: dict(c, reserve_quantity="inf"),
+            lambda c: dict(c, collateral_ratio="nan"),
+            lambda c: dict(c, debt_levels=["inf"]),
         ],
-        ids=["nan_sigma", "infinite_reserve_quantity", "minus_infinite_mu", "array"],
+        ids=[
+            "nan_sigma",
+            "infinite_reserve_quantity",
+            "minus_infinite_mu",
+            "array",
+            "inf_string_reserve_quantity",
+            "nan_string_collateral_ratio",
+            "inf_string_debt_level",
+        ],
     )
     def test_non_finite_or_non_object_config_exits_2(
         self, tmp_path, baseline_config, capsys, edit
@@ -209,6 +224,32 @@ class TestHeatmap:
         cfg["heatmap"]["decay_rho"] = "fast"
         path.write_text(json.dumps(cfg))
         assert run("heatmap", "--config", path, "--out", tmp_path / "o") == 2
+
+    def test_unused_base_cells_are_not_validated(
+        self, small_stress_config, tmp_path
+    ):
+        # The base debt levels would collide as trace names, but heatmap
+        # evaluates only its grid and writes no traces.
+        cfg = json.loads(small_stress_config.read_text())
+        cfg["debt_levels"] = [1e8, 1.0000001e8]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        base = tmp_path / "base"
+        assert run("heatmap", "--config", small_stress_config, "--out", base) == 0
+        assert run("heatmap", "--config", path, "--out", tmp_path / "o") == 0
+        assert (tmp_path / "o" / "heatmap.csv").read_bytes() == (
+            base / "heatmap.csv"
+        ).read_bytes()
+
+    def test_non_finite_grid_exits_2(self, small_stress_config, tmp_path, capsys):
+        cfg = json.loads(small_stress_config.read_text())
+        cfg["heatmap"]["debt_grid"] = [1e8, "inf"]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        assert run("heatmap", "--config", path, "--out", out) == 2
+        one_stderr_line(capsys, "error:")
+        assert not out.exists()
 
     def test_missing_section_exits_2(self, tmp_path, baseline_config):
         cfg = dict(baseline_config, n_paths=100)
@@ -312,6 +353,30 @@ class TestContagion:
             )
         )
         assert run("contagion", "--config", cfg, "--out", tmp_path / "o") == 2
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            {"total_debt": "inf"},
+            {"total_debt": "nan"},
+            {"lambda_ranges": [[1.01, 1.5], [1.01, "inf"]]},
+        ],
+        ids=["inf_total_debt", "nan_total_debt", "inf_lambda"],
+    )
+    def test_non_finite_model_exits_2_before_writing(self, tmp_path, capsys, edit):
+        model = {
+            "schema": "contagion-model/1",
+            "n_protocols": 3,
+            "total_debt": 1e8,
+            "lambda_ranges": [[1.01, 1.5]],
+            "n_samples": 3,
+        }
+        cfg = tmp_path / "model.json"
+        cfg.write_text(json.dumps(dict(model, **edit)))
+        out = tmp_path / "o"
+        assert run("contagion", "--config", cfg, "--out", out) == 2
+        one_stderr_line(capsys, "error:")
+        assert not out.exists()
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_loss_exits_3(self, tmp_path, capsys):

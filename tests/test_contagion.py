@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from defi_stress.contagion import (
     parse_damage_table,
     sweepable_total,
     write_loss_csv,
+    LossDistribution,
 )
 from defi_stress.errors import InvalidParams, InvalidRange, ParseError
 
@@ -100,6 +102,15 @@ class TestMaxSystemicLoss:
         with pytest.raises(InvalidRange):
             CompositionModel(5, 1e8, (1.5, 1.2), seed=0, n_samples=10)
 
+    @pytest.mark.parametrize(
+        "debt, lambda_range",
+        [(math.inf, (1.1, 1.5)), (math.nan, (1.1, 1.5)), (1e8, (1.1, math.inf))],
+        ids=["infinite_debt", "nan_debt", "infinite_lambda"],
+    )
+    def test_non_finite_rejected(self, debt, lambda_range):
+        with pytest.raises(InvalidParams):
+            CompositionModel(5, debt, lambda_range, seed=0, n_samples=10)
+
 
 FEB2020_ROWS = [
     DamageScenario("undercollateralization (price crash)", 145e6),
@@ -136,3 +147,23 @@ def test_loss_csv(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "sample,loss"
     assert len(lines) == 6
+
+
+def test_loss_csv_bytes_equal_csv_writer(tmp_path):
+    rng = np.random.default_rng(4)
+    samples = np.concatenate(
+        [
+            rng.normal(0.0, 1e6, 20_000),
+            [-1.5, 0.0, -0.0, 5e-324, -2e-320, 1e-300, 1e308, -1.7976931348623157e308],
+        ]
+    )
+    dist = LossDistribution(samples=samples, mean=0.0, min=0.0, max=0.0)
+    write_loss_csv(dist, tmp_path / "joined.csv")
+    with (tmp_path / "writer.csv").open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["sample", "loss"])
+        for i, loss in enumerate(samples):
+            writer.writerow([i, loss])
+    assert (tmp_path / "joined.csv").read_bytes() == (
+        tmp_path / "writer.csv"
+    ).read_bytes()

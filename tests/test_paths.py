@@ -10,6 +10,7 @@ from defi_stress.paths import (
     RESERVE,
     GbmParams,
     PathEnsemble,
+    correlated_path,
     select_worst_path,
     simulate_correlated,
     simulate_gbm,
@@ -34,6 +35,11 @@ class TestIncrements:
         z = paths._increments(seed, asset, horizon, 5000)
         assert z.shape == (horizon, 5000)
         expected = philox_increments(seed, asset, horizon, 5000)
+        assert z.T.tobytes() == expected.tobytes()
+
+    def test_offset_selects_later_paths(self):
+        z = paths._increments(7, RESERVE, 30, 20, start=13)
+        expected = philox_increments(7, RESERVE, 30, 33)[13:]
         assert z.T.tobytes() == expected.tobytes()
 
 
@@ -108,6 +114,15 @@ class TestSimulateGbm:
         with pytest.raises(InvalidParams):
             GbmParams(100, 0, -0.1)
 
+    @pytest.mark.parametrize(
+        "args",
+        [(math.inf, 0, 0.1), (100, math.nan, 0.1), (100, 0, math.inf)],
+        ids=["p0", "mu", "sigma"],
+    )
+    def test_non_finite_gbm_params(self, args):
+        with pytest.raises(InvalidParams):
+            GbmParams(*args)
+
 
 class TestSimulateCorrelated:
     def test_perfect_correlation_identical_params(self):
@@ -138,6 +153,22 @@ class TestSimulateCorrelated:
     def test_rho_out_of_range(self):
         with pytest.raises(InvalidParams):
             simulate_correlated(ETH_FIT, ETH_FIT, 1.5, 10, 10, seed=0)
+
+    def test_chunk_size_does_not_change_the_ensemble(self, monkeypatch):
+        reserve = GbmParams(223.0, 0.001592, 0.050581 / 2)
+        whole = simulate_correlated(ETH_FIT, reserve, -0.4, 30, 50, seed=5)
+        monkeypatch.setattr(paths, "CHUNK_PATHS", 7)
+        chunked = simulate_correlated(ETH_FIT, reserve, -0.4, 30, 50, seed=5)
+        assert chunked.collateral_paths.tobytes() == whole.collateral_paths.tobytes()
+        assert chunked.reserve_paths.tobytes() == whole.reserve_paths.tobytes()
+
+    def test_one_path_redraw_equals_its_column(self):
+        reserve = GbmParams(223.0, 0.001592, 0.050581 / 2)
+        ens = simulate_correlated(ETH_FIT, reserve, -0.4, 30, 5000, seed=2**64 + 5)
+        for k in (0, 1, 2047, 2048, 4999):
+            col, res = correlated_path(ETH_FIT, reserve, -0.4, 30, 2**64 + 5, k)
+            assert col.tobytes() == ens.collateral_paths[k].tobytes()
+            assert res.tobytes() == ens.reserve_paths[k].tobytes()
 
 
 def flat_ensemble(matrix, reserve=None):

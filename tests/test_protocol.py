@@ -5,13 +5,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from defi_stress.errors import HorizonMismatch, InvalidParams, MissingPrice
-from defi_stress.paths import GbmParams, simulate_correlated
+from defi_stress.paths import GbmParams, correlated_chunks, simulate_correlated
 from defi_stress.protocol import (
     CollateralPosition,
     CounterpartyParams,
     LiquidationSetup,
+    LiquidationTrace,
     LiquidityModel,
     ProtocolState,
+    _caps,
+    _liquidate,
+    liquidate_cells,
     liquidate_ensemble,
     liquidity_at,
     liquidity_constraint_satisfied,
@@ -214,11 +218,102 @@ class TestLiquidateEnsemble:
             liquidate_ensemble(setup, np.ones((2, 5)), np.ones((2, 4)))
 
 
+class TestLiquidationBlock:
+    """Several correlations x setups x paths stepped as one block."""
+
+    rhos = (-0.5, 0.9)
+    setups = (
+        LiquidationSetup(1e8, LiquidityModel(30_000, 0.0), 1e6),
+        LiquidationSetup(4e8, LiquidityModel(30_000, 0.01), 1e6),
+        LiquidationSetup(3e8, LiquidityModel(10_000, 0.005), 1e6, 1.2),
+    )
+
+    def prices(self):
+        col = GbmParams(223.0, -0.001592, 0.050581)
+        res = GbmParams(223.0, -0.001592, 0.050581 / 2)
+        ((start, collateral, reserve),) = correlated_chunks(
+            col, res, self.rhos, 60, 40, seed=13
+        )
+        return collateral, reserve
+
+    def oracle(self, collateral, reserve, g, r, k):
+        setup = self.setups[r]
+        state = single_asset_state(
+            setup.initial_collateral_units(223.0), setup.debt, reserve=1e6
+        )
+        return scalar_liquidation(
+            state, collateral[:, k], reserve[g, :, k], setup.liquidity
+        )
+
+    def test_every_row_matches_scalar_engine(self):
+        collateral, reserve = self.prices()
+        traces = {}
+
+        def record(t, active, columns):
+            for g, r, k in zip(*np.nonzero(active)):
+                trace = traces.setdefault((g, r, k), LiquidationTrace())
+                days, *fields = trace._columns()
+                days.append(t)
+                for field, value in zip(fields, columns):
+                    field.append(float(np.broadcast_to(value, active.shape)[g, r, k]))
+                if trace.margins[-1] < 0 and trace.first_negative_day is None:
+                    trace.first_negative_day = t
+
+        _liquidate(
+            np.array([[s.debt] for s in self.setups]),
+            np.array([[s.initial_collateral_units(223.0)] for s in self.setups]),
+            1e6,
+            _caps([s.liquidity for s in self.setups], 61),
+            collateral,
+            reserve,
+            record,
+        )
+        assert len(traces) == 2 * 3 * 40
+        for (g, r, k), trace in traces.items():
+            # Same arithmetic in the same order: every field matches exactly.
+            assert trace == self.oracle(collateral, reserve, g, r, k), (g, r, k)
+
+    def test_outcomes_match_scalar_engine(self):
+        collateral, reserve = self.prices()
+        first_neg, terminal = liquidate_cells(self.setups, collateral, reserve)
+        assert first_neg.shape == terminal.shape == (2, 3, 40)
+        assert (first_neg >= 0).any() and (first_neg < 0).any()
+        for (g, r, k), day in np.ndenumerate(first_neg):
+            expected = self.oracle(collateral, reserve, g, r, k)
+            assert day == (
+                -1
+                if expected.first_negative_day is None
+                else expected.first_negative_day
+            )
+            assert terminal[g, r, k] == expected.terminal_margin
+
+    def test_setups_must_share_reserve(self):
+        collateral, reserve = self.prices()
+        setups = self.setups[:1] + (LiquidationSetup(1e8, LiquidityModel(1.0), 2e6),)
+        with pytest.raises(InvalidParams):
+            liquidate_cells(setups, collateral, reserve)
+
+
 def test_invalid_types():
     with pytest.raises(InvalidParams):
         CollateralPosition("eth", -1.0)
     with pytest.raises(InvalidParams):
         LiquidityModel(-1.0)
+    with pytest.raises(InvalidParams):
+        LiquidityModel(math.inf)
+    with pytest.raises(InvalidParams):
+        LiquidityModel(30_000, math.nan)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [(math.inf, 1e6, 1.5), (1e8, math.inf, 1.5), (1e8, 1e6, math.nan)],
+    ids=["debt", "reserve_quantity", "collateral_ratio"],
+)
+def test_liquidation_setup_rejects_non_finite(args):
+    debt, reserve, ratio = args
+    with pytest.raises(InvalidParams):
+        LiquidationSetup(debt, LiquidityModel(30_000), reserve, ratio)
     with pytest.raises(InvalidParams):
         ProtocolState((), 0.0, -1.0)
     with pytest.raises(InvalidParams):

@@ -7,8 +7,8 @@ import pytest
 
 from defi_stress import paths, stress
 from defi_stress.errors import InvalidParams, SchemaError
-from defi_stress.paths import GbmParams
-from defi_stress.protocol import LiquidityModel
+from defi_stress.paths import GbmParams, select_worst_path, simulate_correlated
+from defi_stress.protocol import LiquidityModel, liquidate_ensemble
 from defi_stress.stress import (
     ScenarioConfig,
     correlation_sweep,
@@ -118,6 +118,52 @@ class TestRunScenario:
             assert ca.terminal_margin == cb.terminal_margin
             assert ca.trace.margins == cb.trace.margins
 
+    def test_outputs_byte_identical_across_chunk_sizes(self, monkeypatch, tmp_path):
+        config = small_config(
+            n_paths=150,
+            debt_levels=(1e8, 4e8),
+            liquidity_regimes=(
+                LiquidityModel(30_000, 0.0),
+                LiquidityModel(10_000, 0.01),
+            ),
+        )
+        grids = ([1e8, 3e8, 4e8], [10_000, 30_000])
+        outputs = []
+        for chunk in (1, 7, 2048, config.n_paths):
+            monkeypatch.setattr(paths, "CHUNK_PATHS", chunk)
+            out = tmp_path / str(chunk)
+            write_report(run_scenario(config), out)
+            write_heatmap_csv(heatmap(config, *grids), *grids, out / "heatmap.csv")
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert len(outputs[0]) == 6
+        first_days = json.loads(outputs[0]["summary.json"])["cells"]
+        assert {c["first_negative_day"] is None for c in first_days} == {True, False}
+        for other in outputs[1:]:
+            assert other == outputs[0]
+
+    def test_worst_paths_match_whole_ensemble_selection(self, monkeypatch):
+        config = small_config(
+            n_paths=300,
+            debt_levels=(1e8, 4e8),
+            liquidity_regimes=(
+                LiquidityModel(30_000, 0.0),
+                LiquidityModel(10_000, 0.01),
+            ),
+        )
+        monkeypatch.setattr(paths, "CHUNK_PATHS", 64)
+        report = run_scenario(config)
+        ens = simulate_correlated(
+            BASELINE_COL, BASELINE_RES, 0.9, 100, 300, seed=42
+        )
+        for cell, setup in zip(report.cells, config.setups()):
+            first_neg, terminal = liquidate_ensemble(
+                setup, ens.collateral_paths, ens.reserve_paths
+            )
+            assert (cell.worst_path_index, cell.first_negative_day) == (
+                select_worst_path(first_neg, terminal)
+            )
+            assert cell.min_terminal_margin == terminal.min()
+
     def test_report_files_are_byte_identical_across_runs(self, tmp_path):
         config = small_config(n_paths=300)
         d1, d2 = tmp_path / "a", tmp_path / "b"
@@ -195,6 +241,7 @@ class TestCorrelationSweep:
     def test_equals_run_scenario_per_rho_with_shocks_drawn_once(
         self, monkeypatch, threads
     ):
+        # threads has no effect; both values must give the same reports.
         config = small_config(
             n_paths=300,
             debt_levels=(1e8, 4e8),
@@ -210,7 +257,12 @@ class TestCorrelationSweep:
             paths, "_increments", lambda *a: draws.append(a) or increments(*a)
         )
         sweep = correlation_sweep(config, rhos, threads=threads)
-        assert len(draws) == 2
+        # Per asset: one shock column per path, whatever len(rhos) is, plus
+        # one per re-drawn worst path (one per cell of each report).
+        redrawn = len(rhos) * len(config.debt_levels) * len(config.liquidity_regimes)
+        for asset in (paths.COLLATERAL, paths.RESERVE):
+            columns = sum(a[3] for a in draws if a[1] == asset)
+            assert columns == config.n_paths + redrawn
         assert list(sweep) == rhos
         for rho in rhos:
             # dataclass equality compares every field, traces included
