@@ -132,7 +132,8 @@ def max_systemic_loss(model: CompositionModel) -> LossDistribution:
     lams = rng.uniform(low, high, size=(model.n_samples, model.n_protocols))
     per_protocol = model.total_debt / model.n_protocols
     with np.errstate(over="raise", invalid="raise"):
-        losses = (per_protocol / lams).sum(axis=1)
+        # In place: one (n_samples, n_protocols) array instead of two.
+        losses = np.divide(per_protocol, lams, out=lams).sum(axis=1)
         mean = float(losses.mean())
     return LossDistribution(
         samples=losses,

@@ -1,6 +1,7 @@
 """Run outputs in JSON: the strict writer every JSON output goes through, and
 the run manifest, enough metadata to reproduce a run bit-for-bit (excluding
-its timestamp): config digest, seed, numpy version and path RNG scheme."""
+its timestamp): config digest, seed, numpy version, path RNG scheme and
+the number of paths drawn and liquidated together."""
 
 from __future__ import annotations
 
@@ -11,9 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, paths
 from .errors import NumericError
-from .paths import RNG_SCHEME
 
 
 def write_json(path: Path, obj) -> Path:
@@ -46,6 +46,7 @@ def write_manifest(
             "created_at": dt.datetime.now(dt.timezone.utc).isoformat(),
             "outputs": sorted(p.name for p in outputs),
             "numpy_version": np.__version__,
-            "rng_scheme": RNG_SCHEME,
+            "rng_scheme": paths.RNG_SCHEME,
+            "chunk_paths": paths.CHUNK_PATHS,
         },
     )

@@ -24,7 +24,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import InvalidParams
+from .errors import InvalidParams, NumericError
 
 COLLATERAL = 0
 RESERVE = 1
@@ -65,9 +65,15 @@ class PathEnsemble:
 
 
 def _increments(
-    seed: int, asset_index: int, horizon_days: int, n_paths: int, start: int = 0
+    seed: int,
+    asset_index: int,
+    horizon_days: int,
+    n_paths: int,
+    start: int = 0,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Standard-normal daily shocks, day-major: shape (horizon_days, n_paths).
+    """Standard-normal daily shocks, day-major: shape (horizon_days, n_paths),
+    written to out if given, else to a new array.
 
     Column j is the stream of path k = start + j, that of a fresh Philox
     keyed on (seed mod 2**64, k << 1 | asset_index). One bit generator is
@@ -79,7 +85,7 @@ def _increments(
     generator = np.random.Generator(bit_generator)
     fresh = bit_generator.state
     path_key = fresh["state"]["key"]
-    z = np.empty((horizon_days, n_paths))
+    z = np.empty((horizon_days, n_paths)) if out is None else out
     for j in range(n_paths):
         path_key[1] = ((start + j) << 1) | asset_index
         bit_generator.state = fresh
@@ -94,7 +100,8 @@ def _prices_from_shocks(
 
     z is day-major, (horizon, n_paths); so is the result, (horizon + 1,
     n_paths), built in one buffer: prices if given, else a new one. z may be
-    prices[1:] itself.
+    prices[1:] itself. A price that is not > 0 (one that underflowed to 0,
+    or NaN) raises NumericError, whatever the liquidation does with it.
     """
     horizon, n_paths = z.shape
     drift = params.mu - params.sigma**2 / 2.0
@@ -107,6 +114,11 @@ def _prices_from_shocks(
     np.cumsum(log_steps, axis=0, out=log_steps)
     np.exp(prices, out=prices)
     np.multiply(params.p0, prices, out=prices)
+    # min() is NaN if any price is.
+    if not prices.min() > 0.0:
+        raise NumericError(
+            "a simulated price is not > 0: drift or volatility too extreme"
+        )
     return prices
 
 
@@ -150,11 +162,15 @@ def _correlated_prices(
     The reserve shock for correlation rho is
     rho * z_col + sqrt(1 - rho^2) * z_indep, so each asset's marginal law
     matches `simulate_gbm`, and the collateral prices are bit-identical to a
-    standalone collateral simulation under the same seed.
+    standalone collateral simulation under the same seed. The collateral
+    shocks are drawn into the collateral price buffer and turned into prices
+    there once every reserve shock is formed.
     """
-    z_col = _increments(seed, COLLATERAL, horizon_days, n_paths, start)
+    collateral_prices = np.empty((horizon_days + 1, n_paths))
+    z_col = _increments(
+        seed, COLLATERAL, horizon_days, n_paths, start, collateral_prices[1:]
+    )
     z_ind = _increments(seed, RESERVE, horizon_days, n_paths, start)
-    collateral_prices = _prices_from_shocks(collateral, z_col)
     reserve_prices = np.empty((len(rhos), horizon_days + 1, n_paths))
     scaled = np.empty_like(z_ind)
     for prices, rho in zip(reserve_prices, rhos):
@@ -163,6 +179,7 @@ def _correlated_prices(
         np.multiply(np.sqrt(1.0 - rho**2), z_ind, out=scaled)
         np.add(z_res, scaled, out=z_res)
         _prices_from_shocks(reserve, z_res, prices)
+    _prices_from_shocks(collateral, z_col, collateral_prices)
     return collateral_prices, reserve_prices
 
 

@@ -206,9 +206,9 @@ def _liquidate(
     caps: np.ndarray,
     collateral_prices: np.ndarray,
     reserve_prices: np.ndarray,
-    record: Callable[[int, np.ndarray, tuple[np.ndarray, ...]], None],
+    record: Callable[[int, np.ndarray, np.ndarray, tuple[np.ndarray, ...]], None],
 ) -> None:
-    """The daily liquidation rule, run on a block of rows x paths at once.
+    """The daily liquidation rule, run on a block of groups x rows x paths.
 
     Row r starts with debt0[r] and coll0[r] (each a (rows, 1) column) and
     every row holds the same reserve units; caps[t] holds every row's
@@ -218,41 +218,55 @@ def _liquidate(
     block has shape (groups, rows, paths).
 
     Each day t the protocol sells u_t = min(L(t), collateral left,
-    debt left / price) on every path whose debt is outstanding; proceeds
+    debt left / price) on every entry whose debt is outstanding; proceeds
     retire debt one-for-one at the day's price (no price impact). The margin
-    is the plain post-sale buffer collateral + reserve - debt. A path stops
-    once its debt is discharged, and the loop once every path has stopped.
+    is the plain post-sale buffer collateral + reserve - debt. An entry
+    stops once its debt is discharged, and the loop once every entry has
+    stopped.
 
-    After each day's sale it calls record(t, active, columns). active marks
-    the block entries whose debt was outstanding that morning; columns hold
-    the collateral price, reserve price, units sold, proceeds, debt left,
-    collateral left and margin, in LiquidationTrace's column order, each
-    broadcastable to the block. Every array passed is a buffer reused on
-    the next day, and active is updated in place after record returns. A
-    zero price raises FloatingPointError instead of warning.
+    The block is held as flat per-entry arrays, in block order. A stopped
+    entry owes nothing, so it sells min(cap, coll, 0) = 0 and is carried
+    along unchanged until the live entries are half the current length or
+    fewer; then the stopped ones are dropped, keeping the order. So a day
+    costs at most twice its live entries, and every day's prices and caps
+    are gathered per entry.
+
+    After each day's sale it calls record(t, entries, active, columns).
+    entries holds the flat block indices (into the (groups, rows, paths)
+    block, C order) of the current entries, and active marks those whose
+    debt was outstanding that morning. columns hold, per current entry, the
+    collateral price, reserve price, units sold, proceeds, debt left,
+    collateral left and margin, in LiquidationTrace's column order. Every
+    array passed is a buffer reused on the next day, and active is updated
+    in place after record returns. A zero price raises FloatingPointError
+    instead of warning.
     """
     if reserve_prices.shape[1:] != collateral_prices.shape:
         raise HorizonMismatch("collateral and reserve paths must share a shape")
+    # Prices are gathered into float buffers, which take no other dtype.
+    collateral_prices = np.asarray(collateral_prices, dtype=float)
+    reserve_prices = np.asarray(reserve_prices, dtype=float)
     n_days, n_paths = collateral_prices.shape
-    shape = (len(reserve_prices), len(debt0), n_paths)
-    debt = np.empty(shape)
-    debt[...] = debt0
-    coll = np.empty(shape)
-    coll[...] = coll0
-    discharge_floor = _DEBT_EPS * debt0
-    active = np.ones(shape, dtype=bool)
-    discharged = np.empty(shape, dtype=bool)
-    u, proceeds, margin = (np.empty(shape) for _ in range(3))
-    reserve_value = np.empty((shape[0], 1, n_paths))
+    n_rows = len(debt0)
+    m = len(reserve_prices) * n_rows * n_paths
+    entries = np.arange(m)
+    path = entries % n_paths
+    row = entries // n_paths % n_rows
+    # Index into one day's (groups, paths) reserve prices, flattened.
+    group_path = entries // (n_rows * n_paths) * n_paths + path
+    debt = debt0[row, 0]
+    coll = coll0[row, 0]
+    discharge_floor = (_DEBT_EPS * debt0)[row, 0]
+    active = np.ones(m, dtype=bool)
+    discharged = np.empty(m, dtype=bool)
+    p_col, p_res, u, proceeds, margin, reserve_value = (np.empty(m) for _ in range(6))
     with np.errstate(divide="raise", invalid="raise"):
         for t in range(n_days):
-            if not active.any():
-                break
-            p_col = collateral_prices[t]
-            p_res = reserve_prices[:, t, None]
-            # A stopped path owes nothing, so it sells min(cap, coll, 0) = 0
-            # and its debt stays 0: no mask is needed until the discharge.
-            np.minimum(caps[t], coll, out=u)
+            # mode="clip" writes straight into out; every index is in range.
+            np.take(collateral_prices[t], path, out=p_col, mode="clip")
+            np.take(reserve_prices[:, t], group_path, out=p_res, mode="clip")
+            np.take(caps[t, :, 0], row, out=u, mode="clip")
+            np.minimum(u, coll, out=u)
             np.divide(debt, p_col, out=proceeds)
             np.minimum(u, proceeds, out=u)
             np.multiply(u, p_col, out=proceeds)
@@ -266,8 +280,24 @@ def _liquidate(
             np.multiply(reserve, p_res, out=reserve_value)
             np.add(margin, reserve_value, out=margin)
             np.subtract(margin, debt, out=margin)
-            record(t, active, (p_col, p_res, u, proceeds, debt, coll, margin))
+            record(t, entries, active, (p_col, p_res, u, proceeds, debt, coll, margin))
             np.logical_xor(active, discharged, out=active)
+            live = np.count_nonzero(active)
+            if 2 * live > m:
+                continue
+            if live == 0:
+                break
+            # Drop the stopped entries, in order, and shrink every buffer.
+            keep = np.flatnonzero(active)
+            per_entry = (entries, path, row, group_path, debt, coll, discharge_floor)
+            entries, path, row, group_path, debt, coll, discharge_floor = (
+                a[keep] for a in per_entry
+            )
+            m = live
+            buffers = (p_col, p_res, u, proceeds, margin, reserve_value)
+            p_col, p_res, u, proceeds, margin, reserve_value = (b[:m] for b in buffers)
+            active, discharged = active[:m], discharged[:m]
+            active[...] = True
 
 
 def _caps(liquidity: Sequence[LiquidityModel], n_days: int) -> np.ndarray:
@@ -287,7 +317,7 @@ def run_liquidation(
     trace = LiquidationTrace()
     days, *columns = trace._columns()
 
-    def record(t, _, values):
+    def record(t, _entries, _active, values):
         days.append(t)
         for column, value in zip(columns, values):
             column.append(value.item())
@@ -321,6 +351,10 @@ def liquidate_cells(
     (groups, len(setups), paths); first_negative_day is -1 where the margin
     never turns negative. Once a path's debt is discharged its margin is
     frozen at that day.
+
+    Each day `_liquidate` hands over only its current entries, with their
+    flat indices into the result block; the day's events and terminal
+    margins are scattered through those indices.
     """
     reserve = {s.reserve_quantity for s in setups}
     if len(reserve) != 1:
@@ -330,25 +364,19 @@ def liquidate_cells(
     last_day = len(collateral_prices) - 1
     first_neg = np.full(shape, -1, dtype=np.int64)
     terminal = np.empty(shape)
-    event, mask = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
+    first_neg_flat, terminal_flat = first_neg.reshape(-1), terminal.reshape(-1)
 
-    def record(t, active, columns):
+    def record(t, entries, active, columns):
         *_, debt, _, margin = columns
-        # The first day an active path's margin is negative.
-        np.less(margin, 0.0, out=event)
-        np.logical_and(event, active, out=event)
-        np.less(first_neg, 0, out=mask)
-        np.logical_and(event, mask, out=event)
-        np.copyto(first_neg, t, where=event)
-        # The terminal margin is the margin on a path's last active day: the
-        # day its debt is discharged, or the last day of the horizon.
-        if t == last_day:
-            np.copyto(terminal, margin, where=active)
-            return
-        np.equal(debt, 0.0, out=mask)
-        np.logical_and(mask, active, out=mask)
-        if mask.any():
-            np.copyto(terminal, margin, where=mask)
+        # The first day an active entry's margin is negative.
+        event = np.flatnonzero((margin < 0.0) & active)
+        if len(event):
+            hit = entries[event]
+            first_neg_flat[hit[first_neg_flat[hit] < 0]] = t
+        # The terminal margin is the margin on an entry's last active day:
+        # the day its debt is discharged, or the last day of the horizon.
+        last = active if t == last_day else (debt == 0.0) & active
+        terminal_flat[entries[last]] = margin[last]
 
     _liquidate(
         np.array([[float(s.debt)] for s in setups]),

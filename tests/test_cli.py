@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import defi_stress
+from defi_stress import paths
 from defi_stress.cli import main
 from defi_stress.errors import NumericError
 from defi_stress.manifest import write_json
@@ -112,6 +113,7 @@ class TestStress:
         assert len(manifest["config_digest"]) == 64
         assert manifest["numpy_version"] == np.__version__
         assert manifest["rng_scheme"] == "philox-per-path/1"
+        assert manifest["chunk_paths"] == 2048
 
     def test_rerun_byte_identical_except_manifest_timestamp(
         self, small_stress_config, tmp_path
@@ -200,6 +202,34 @@ class TestStress:
         assert proc.returncode == 3
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("numeric error:"), proc.stderr
+
+    @pytest.mark.parametrize("chunk", [1, 7, 2048])
+    def test_underflowed_price_exits_3_whatever_the_chunking(
+        self, tmp_path, baseline_config, capsys, monkeypatch, chunk
+    ):
+        monkeypatch.setattr(paths, "CHUNK_PATHS", chunk)
+        cfg = dict(baseline_config, n_paths=200)
+        cfg["collateral"] = dict(cfg["collateral"], sigma=40)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run("stress", "--config", path, "--out", tmp_path / "o") == 3
+        one_stderr_line(capsys, "numeric error:")
+
+    def test_underflowed_price_exits_3_after_the_debt_is_discharged(
+        self, tmp_path, baseline_config, capsys
+    ):
+        # Ample liquidity discharges every debt on day 0, before any price
+        # reaches 0; the zero prices of later days still exit 3.
+        cfg = dict(
+            baseline_config,
+            n_paths=200,
+            liquidity_regimes=[{"l0": 1e12, "rho": 0.0}],
+        )
+        cfg["collateral"] = dict(cfg["collateral"], sigma=40)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run("stress", "--config", path, "--out", tmp_path / "o") == 3
+        one_stderr_line(capsys, "numeric error:")
 
 
 class TestHeatmap:

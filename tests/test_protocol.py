@@ -2,7 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from defi_stress.errors import HorizonMismatch, InvalidParams, MissingPrice
 from defi_stress.paths import GbmParams, correlated_chunks, simulate_correlated
@@ -249,13 +250,14 @@ class TestLiquidationBlock:
         collateral, reserve = self.prices()
         traces = {}
 
-        def record(t, active, columns):
-            for g, r, k in zip(*np.nonzero(active)):
+        def record(t, entries, active, columns):
+            for i in np.flatnonzero(active):
+                g, r, k = np.unravel_index(entries[i], (2, 3, 40))
                 trace = traces.setdefault((g, r, k), LiquidationTrace())
                 days, *fields = trace._columns()
                 days.append(t)
                 for field, value in zip(fields, columns):
-                    field.append(float(np.broadcast_to(value, active.shape)[g, r, k]))
+                    field.append(float(value[i]))
                 if trace.margins[-1] < 0 and trace.first_negative_day is None:
                     trace.first_negative_day = t
 
@@ -285,6 +287,78 @@ class TestLiquidationBlock:
                 if expected.first_negative_day is None
                 else expected.first_negative_day
             )
+            assert terminal[g, r, k] == expected.terminal_margin
+
+    def test_work_follows_the_entries_that_owe_debt(self):
+        # Constant prices, one per path, and one cap per row: the debt of
+        # row r on path k is discharged after about 1e5 / (l0_r * p_k) days,
+        # anywhere from day 0 to day 99.
+        prices = 100.0 * (1.0 + np.arange(50) / 10.0)
+        collateral = np.tile(prices, (200, 1))
+        liquidity = [LiquidityModel(l0) for l0 in (10.0, 30.0, 100.0, 1e4)]
+        stepped = live = 0
+        stop_days = []
+
+        def record(t, entries, active, columns):
+            nonlocal stepped, live
+            assert (np.diff(entries) > 0).all()
+            stepped += len(entries)
+            live += np.count_nonzero(active)
+            stop_days.extend([t] * np.count_nonzero(columns[4][active] == 0.0))
+
+        _liquidate(
+            np.full((4, 1), 1e5),
+            np.full((4, 1), 1e4),
+            1e6,
+            _caps(liquidity, 200),
+            collateral,
+            collateral[None],
+            record,
+        )
+        block = 4 * 50
+        assert len(stop_days) == block and len(set(stop_days)) > 20
+        assert stepped <= 2 * live + block
+        # Stepping the whole block until its last entry stops costs far more.
+        assert 2 * live + block < block * (max(stop_days) + 1) / 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_random_blocks_match_scalar_engine(self, data):
+        n_days = data.draw(st.integers(1, 12))
+        n_paths = data.draw(st.integers(1, 6))
+        n_groups = data.draw(st.integers(1, 2))
+        price = st.floats(1e-2, 1e4)
+        collateral = data.draw(arrays(np.float64, (n_days, n_paths), elements=price))
+        reserve = data.draw(
+            arrays(np.float64, (n_groups, n_days, n_paths), elements=price)
+        )
+        setups = data.draw(
+            st.lists(
+                st.builds(
+                    LiquidationSetup,
+                    debt=st.floats(0.0, 1e9),
+                    liquidity=st.builds(
+                        LiquidityModel, st.floats(0.0, 1e7), st.floats(0.0, 1.0)
+                    ),
+                    reserve_quantity=st.just(1e3),
+                    collateral_ratio=st.floats(0.5, 3.0),
+                ),
+                min_size=1,
+                max_size=3,
+            )
+        )
+        first_neg, terminal = liquidate_cells(setups, collateral, reserve)
+        p0 = collateral[0, 0]
+        for (g, r, k), day in np.ndenumerate(first_neg):
+            setup = setups[r]
+            state = single_asset_state(
+                setup.initial_collateral_units(p0), setup.debt, reserve=1e3
+            )
+            expected = scalar_liquidation(
+                state, collateral[:, k], reserve[g, :, k], setup.liquidity
+            )
+            expected_day = expected.first_negative_day
+            assert day == (-1 if expected_day is None else expected_day)
             assert terminal[g, r, k] == expected.terminal_margin
 
     def test_setups_must_share_reserve(self):
