@@ -81,7 +81,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 def cmd_stress(args: argparse.Namespace) -> int:
     raw, config_bytes = _read_json(Path(args.config))
     config = _scenario(raw, args)
-    report = stress.run_scenario(config, threads=args.threads)
+    report = stress.run_scenario(config)
     out_dir = Path(args.out)
     written = stress.write_report(report, out_dir)
     write_manifest(out_dir, config_bytes, config.seed, written)
@@ -109,9 +109,7 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
     config = _scenario(
         dict(raw, debt_levels=debt_grid, liquidity_regimes=grid), args
     )
-    matrix = stress.heatmap(
-        config, debt_grid, l0_grid, decay_rho=decay_rho, threads=args.threads
-    )
+    matrix = stress.heatmap(config)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     heatmap_path = out_dir / "heatmap.csv"

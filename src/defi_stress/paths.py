@@ -8,12 +8,14 @@ generator per asset is reset to each path's key in turn, which yields the
 same stream as a fresh generator per path.
 
 Shocks and prices are stored day-major, (days, paths), so the liquidation
-engine's read of one day across all paths is contiguous. The arrays handed
-out are transposed views of those buffers, with shape (paths, days).
+engine's read of one day across all paths is contiguous. `correlated_chunks`
+hands them out so; `simulate_gbm` returns a transposed view, with shape
+(paths, days).
 
-Because path k depends only on its key, an ensemble can be drawn in chunks
-of CHUNK_PATHS paths (`correlated_chunks`), and any single path re-drawn on
-its own (`correlated_path`), with the same bits as a whole-ensemble draw.
+Because path k depends only on its key, a correlated ensemble is drawn in
+chunks of CHUNK_PATHS paths (`correlated_chunks`), and any single path can
+be re-drawn on its own (`correlated_path`) with the same bits, whatever the
+chunking.
 """
 
 from __future__ import annotations
@@ -53,17 +55,6 @@ class GbmParams:
             raise InvalidParams("volatility must be >= 0")
 
 
-@dataclass(frozen=True)
-class PathEnsemble:
-    horizon_days: int
-    n_paths: int
-    seed: int
-    correlation: float
-    # (n_paths, horizon_days + 1): transposed views of day-major buffers
-    collateral_paths: np.ndarray
-    reserve_paths: np.ndarray
-
-
 def _increments(
     seed: int,
     asset_index: int,
@@ -100,8 +91,9 @@ def _prices_from_shocks(
 
     z is day-major, (horizon, n_paths); so is the result, (horizon + 1,
     n_paths), built in one buffer: prices if given, else a new one. z may be
-    prices[1:] itself. A price that is not > 0 (one that underflowed to 0,
-    or NaN) raises NumericError, whatever the liquidation does with it.
+    prices[1:] itself. A price that is not finite and > 0 (one that
+    underflowed to 0 or overflowed to inf, or NaN) raises NumericError,
+    whatever the liquidation does with it.
     """
     horizon, n_paths = z.shape
     drift = params.mu - params.sigma**2 / 2.0
@@ -109,15 +101,18 @@ def _prices_from_shocks(
         prices = np.empty((horizon + 1, n_paths))
     prices[0] = 0.0
     log_steps = prices[1:]
-    np.multiply(params.sigma, z, out=log_steps)
-    np.add(drift, log_steps, out=log_steps)
-    np.cumsum(log_steps, axis=0, out=log_steps)
-    np.exp(prices, out=prices)
-    np.multiply(params.p0, prices, out=prices)
-    # min() is NaN if any price is.
-    if not prices.min() > 0.0:
+    # An overflow to inf is caught by the check below, not warned about.
+    with np.errstate(over="ignore"):
+        np.multiply(params.sigma, z, out=log_steps)
+        np.add(drift, log_steps, out=log_steps)
+        np.cumsum(log_steps, axis=0, out=log_steps)
+        np.exp(prices, out=prices)
+        np.multiply(params.p0, prices, out=prices)
+    # min() and max() are NaN if any price is.
+    if not (prices.min() > 0.0 and prices.max() < math.inf):
         raise NumericError(
-            "a simulated price is not > 0: drift or volatility too extreme"
+            "a simulated price is not finite and > 0: drift or volatility "
+            "too extreme"
         )
     return prices
 
@@ -191,8 +186,8 @@ def correlated_chunks(
     n_paths: int,
     seed: int,
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """The ensemble of `simulate_correlated`, for every rho in rhos at once,
-    in consecutive chunks of up to CHUNK_PATHS paths.
+    """The seeded two-asset ensemble of n_paths paths, for every rho in rhos
+    at once, in consecutive chunks of up to CHUNK_PATHS paths.
 
     Yields (start, collateral prices, reserve prices) for paths start,
     start + 1, ...: day-major collateral prices, (horizon + 1, chunk), and
@@ -223,8 +218,9 @@ def correlated_path(
     seed: int,
     k: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Path k of `simulate_correlated`'s ensemble, drawn on its own: the
-    collateral and reserve prices, each of length horizon_days + 1."""
+    """Path k of `correlated_chunks`' ensemble for correlation rho, drawn on
+    its own: the collateral and reserve prices, each of length
+    horizon_days + 1."""
     _check_rho(rho)
     _check_size(horizon_days, 1)
     if k < 0:
@@ -233,52 +229,3 @@ def correlated_path(
         collateral, reserve, (rho,), horizon_days, 1, seed, k
     )
     return collateral_prices[:, 0], reserve_prices[0, :, 0]
-
-
-def simulate_correlated(
-    collateral: GbmParams,
-    reserve: GbmParams,
-    rho: float,
-    horizon_days: int,
-    n_paths: int,
-    seed: int,
-) -> PathEnsemble:
-    """Simulate both assets with correlated daily shocks.
-
-    The reserve shock is rho * z_col + sqrt(1 - rho^2) * z_indep (see
-    `correlated_chunks`, which draws the ensemble chunk by chunk).
-    """
-    chunks = correlated_chunks(
-        collateral, reserve, (rho,), horizon_days, n_paths, seed
-    )
-    collateral_paths = np.empty((horizon_days + 1, n_paths))
-    reserve_paths = np.empty_like(collateral_paths)
-    for start, collateral_prices, reserve_prices in chunks:
-        stop = start + collateral_prices.shape[1]
-        collateral_paths[:, start:stop] = collateral_prices
-        reserve_paths[:, start:stop] = reserve_prices[0]
-    return PathEnsemble(
-        horizon_days=horizon_days,
-        n_paths=n_paths,
-        seed=seed,
-        correlation=rho,
-        collateral_paths=collateral_paths.T,
-        reserve_paths=reserve_paths.T,
-    )
-
-
-def select_worst_path(
-    first_neg: np.ndarray, terminal: np.ndarray
-) -> tuple[int, int | None]:
-    """Pick the fastest-event path from per-path liquidation results.
-
-    first_neg uses -1 for paths whose margin never turns negative. When no
-    path has an event, falls back to the smallest terminal margin. Ties
-    break toward the lowest path index (np.argmin returns the first hit).
-    """
-    has_event = first_neg >= 0
-    if has_event.any():
-        days = np.where(has_event, first_neg, np.iinfo(np.int64).max)
-        idx = int(np.argmin(days))
-        return idx, int(first_neg[idx])
-    return int(np.argmin(terminal)), None

@@ -10,6 +10,7 @@ constraint checks.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -17,7 +18,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import HorizonMismatch, InvalidParams, MissingPrice
+from .errors import HorizonMismatch, InvalidParams, MissingPrice, NumericError
 
 # Relative tolerance for treating residual debt as fully discharged.
 _DEBT_EPS = 1e-9
@@ -98,6 +99,8 @@ class LiquidationSetup:
             )
         if self.debt < 0:
             raise InvalidParams("debt must be >= 0")
+        if self.reserve_quantity < 0:
+            raise InvalidParams("reserve quantity must be >= 0")
         if self.collateral_ratio <= 0:
             raise InvalidParams("collateral ratio must be > 0")
 
@@ -239,13 +242,24 @@ def _liquidate(
     collateral left and margin, in LiquidationTrace's column order. Every
     array passed is a buffer reused on the next day, and active is updated
     in place after record returns. A zero price raises FloatingPointError
-    instead of warning.
+    instead of warning, and a block whose margins could overflow raises
+    NumericError before the first day.
     """
     if reserve_prices.shape[1:] != collateral_prices.shape:
         raise HorizonMismatch("collateral and reserve paths must share a shape")
     # Prices are gathered into float buffers, which take no other dtype.
     collateral_prices = np.asarray(collateral_prices, dtype=float)
     reserve_prices = np.asarray(reserve_prices, dtype=float)
+    # An entry's collateral never exceeds its start, nor a price the block's
+    # highest, so each margin term is at most one of these products. Each
+    # bound trips on a single path, whatever the chunking; with both finite,
+    # so is collateral + reserve - debt.
+    bounds = (
+        4.0 * float(coll0.max()) * float(collateral_prices.max()),
+        4.0 * reserve * float(reserve_prices.max()),
+    )
+    if not all(map(math.isfinite, bounds)):
+        raise NumericError("a margin overflows: collateral or reserve too large")
     n_days, n_paths = collateral_prices.shape
     n_rows = len(debt0)
     m = len(reserve_prices) * n_rows * n_paths
@@ -260,7 +274,8 @@ def _liquidate(
     active = np.ones(m, dtype=bool)
     discharged = np.empty(m, dtype=bool)
     p_col, p_res, u, proceeds, margin, reserve_value = (np.empty(m) for _ in range(6))
-    with np.errstate(divide="raise", invalid="raise"):
+    # debt / price may overflow to inf; the min() with the cap discards it.
+    with np.errstate(divide="raise", invalid="raise", over="ignore"):
         for t in range(n_days):
             # mode="clip" writes straight into out; every index is in range.
             np.take(collateral_prices[t], path, out=p_col, mode="clip")
@@ -300,10 +315,15 @@ def _liquidate(
             active[...] = True
 
 
-def _caps(liquidity: Sequence[LiquidityModel], n_days: int) -> np.ndarray:
-    """Sellable units per day and regime, (n_days, len(liquidity), 1)."""
+@functools.lru_cache(maxsize=1)
+def _caps(liquidity: tuple[LiquidityModel, ...], n_days: int) -> np.ndarray:
+    """Sellable units per day and regime, (n_days, len(liquidity), 1),
+    read-only. Every chunk of a pass asks for the same table, so the last
+    one is kept."""
     caps = [[liquidity_at(model, t) for model in liquidity] for t in range(n_days)]
-    return np.array(caps)[..., None]
+    table = np.array(caps)[..., None]
+    table.flags.writeable = False
+    return table
 
 
 def run_liquidation(
@@ -329,7 +349,7 @@ def run_liquidation(
         np.array([[float(initial.debt)]]),
         np.array([[float(initial.total_collateral_units())]]),
         initial.reserve_quantity,
-        _caps([liquidity], len(collateral_prices)),
+        _caps((liquidity,), len(collateral_prices)),
         collateral_prices,
         np.asarray(reserve_path, dtype=float).reshape(1, -1, 1),
         record,
@@ -382,26 +402,10 @@ def liquidate_cells(
         np.array([[float(s.debt)] for s in setups]),
         np.array([[s.initial_collateral_units(p0)] for s in setups]),
         reserve.pop(),
-        _caps([s.liquidity for s in setups], len(collateral_prices)),
+        _caps(tuple(s.liquidity for s in setups), len(collateral_prices)),
         collateral_prices,
         reserve_prices,
         record,
     )
     return first_neg, terminal
 
-
-def liquidate_ensemble(
-    setup: LiquidationSetup,
-    collateral_paths: np.ndarray,
-    reserve_paths: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Liquidation over a whole path ensemble, (n_paths, days) each.
-
-    Returns (first_negative_day, terminal_margin) arrays, one entry per
-    path; first_negative_day is -1 where the margin never turns negative.
-    Once a path's debt is discharged its margin is frozen at that day.
-    """
-    first_neg, terminal = liquidate_cells(
-        [setup], collateral_paths.T, reserve_paths.T[None]
-    )
-    return first_neg[0, 0], terminal[0, 0]

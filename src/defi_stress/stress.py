@@ -14,7 +14,7 @@ trace comes from re-drawing that one path.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -140,9 +140,9 @@ class _WorstPaths:
     the chunks of one ensemble, folded in path order.
 
     Per row it keeps the smallest (first negative day, path index) and the
-    smallest terminal margin with the lowest path index on ties, which is
-    what `paths.select_worst_path` and `np.argmin` pick on the whole
-    ensemble.
+    smallest terminal margin with the lowest path index on ties: the path
+    with the earliest event, else the one with the lowest terminal margin,
+    as `np.argmin` would pick it on the whole ensemble.
     """
 
     _NO_EVENT = np.iinfo(np.int64).max
@@ -248,42 +248,30 @@ def _reports(config: ScenarioConfig, rhos: Sequence[float]) -> list[StressReport
     return reports
 
 
-def run_scenario(config: ScenarioConfig, threads: int = 1) -> StressReport:
+def run_scenario(config: ScenarioConfig) -> StressReport:
     """Simulate one shared ensemble and record the worst-case trace for every
-    (debt level, liquidity regime) cell. Deterministic for a fixed config.
-
-    threads is accepted for compatibility and has no effect.
-    """
+    (debt level, liquidity regime) cell. Deterministic for a fixed config."""
     return _reports(config, [config.rho_corr])[0]
 
 
-def heatmap(
-    config: ScenarioConfig,
-    debt_grid: Sequence[float],
-    l0_grid: Sequence[float],
-    decay_rho: float | None = None,
-    threads: int = 1,
-) -> list[list[int | None]]:
-    """Worst-case first-negative day per (debt, initial liquidity) cell.
+def heatmap(config: ScenarioConfig) -> list[list[int | None]]:
+    """Worst-case first-negative day of every cell of config, None where no
+    path goes negative.
 
-    Rows follow debt_grid, columns l0_grid. The liquidity decay rate comes
-    from the first regime of the base config unless overridden. All cells
-    share the base config's seeded ensemble. threads has no effect.
+    Rows follow config.debt_levels, columns config.liquidity_regimes. All
+    cells share config's seeded ensemble; no trace is computed.
     """
-    rho = config.liquidity_regimes[0].rho if decay_rho is None else decay_rho
-    grid_config = replace(
-        config,
-        debt_levels=tuple(debt_grid),
-        liquidity_regimes=tuple(LiquidityModel(l0=l0, rho=rho) for l0 in l0_grid),
-    )
-    worst = _worst_paths(grid_config, [grid_config.rho_corr])
-    days = [worst.cell(0, row)[1] for row in range(len(debt_grid) * len(l0_grid))]
-    width = len(l0_grid)
+    worst = _worst_paths(config, [config.rho_corr])
+    width = len(config.liquidity_regimes)
+    days = [worst.cell(0, row)[1] for row in range(len(config.debt_levels) * width)]
     return [days[i : i + width] for i in range(0, len(days), width)]
 
 
 def correlation_sweep(
-    config: ScenarioConfig, rhos: Sequence[float], threads: int = 1
+    config: ScenarioConfig,
+    rhos: Sequence[float],
+    # No effect; kept as perfbench/corr_sweep.py passes threads=1 (TypeError without).
+    threads: int = 1,
 ) -> dict[float, StressReport]:
     """One report per correlation level, same seed, so differences across
     reports isolate the correlation effect.

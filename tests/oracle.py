@@ -5,6 +5,9 @@
   vectorised engine, field for field.
 - `philox_increments`: daily shocks from a freshly built Philox generator
   per path, the oracle for the reused generator of `defi_stress.paths`.
+- `select_worst_path`: worst-path selection over a whole ensemble's
+  liquidation results at once, the oracle for the chunk-by-chunk fold of
+  `defi_stress.stress`.
 """
 
 from __future__ import annotations
@@ -88,3 +91,20 @@ def philox_increments(
     for k in range(n_paths):
         z[k] = _stream(seed, k, asset_index).standard_normal(horizon_days)
     return z
+
+
+def select_worst_path(
+    first_neg: np.ndarray, terminal: np.ndarray
+) -> tuple[int, int | None]:
+    """Pick the fastest-event path from per-path liquidation results.
+
+    first_neg uses -1 for paths whose margin never turns negative. When no
+    path has an event, falls back to the smallest terminal margin. Ties
+    break toward the lowest path index (np.argmin returns the first hit).
+    """
+    has_event = first_neg >= 0
+    if has_event.any():
+        days = np.where(has_event, first_neg, np.iinfo(np.int64).max)
+        idx = int(np.argmin(days))
+        return idx, int(first_neg[idx])
+    return int(np.argmin(terminal)), None

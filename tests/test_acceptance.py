@@ -18,10 +18,10 @@ from defi_stress.attack import (
 from defi_stress.cli import main as cli_main
 from defi_stress.contagion import CompositionModel, MarketSnapshot, max_systemic_loss, sweepable_total
 from defi_stress.marketdata import estimate_stats, jarque_bera, load_series, log_returns
-from defi_stress.paths import GbmParams, simulate_correlated, simulate_gbm
-from defi_stress.protocol import LiquidationSetup, LiquidityModel, liquidate_ensemble
-from defi_stress.stress import ScenarioConfig, correlation_sweep
-from tests.test_attack import brute_force_sweep, load_plan
+from defi_stress.paths import GbmParams, simulate_gbm
+from defi_stress.protocol import LiquidityModel
+from defi_stress.stress import ScenarioConfig, correlation_sweep, heatmap
+from test_attack import brute_force_sweep, load_plan
 
 FIXTURE_MU = 0.001592
 FIXTURE_SIGMA = 0.050581
@@ -86,29 +86,35 @@ REGIMES = (
 )
 
 
+def worst_days(seed, debt_levels, regimes):
+    """The earliest first-negative day over 5000 paths of every (debt,
+    regime) cell, None where no path goes negative."""
+    config = ScenarioConfig(
+        collateral_params=COL,
+        reserve_params=RES,
+        rho_corr=0.9,
+        horizon_days=100,
+        n_paths=5000,
+        seed=seed,
+        debt_levels=tuple(debt_levels),
+        liquidity_regimes=tuple(regimes),
+        reserve_quantity=1e6,
+    )
+    return heatmap(config)
+
+
 def test_criterion_3_no_default_at_low_debt():
     for seed in range(10):
-        ens = simulate_correlated(COL, RES, 0.9, 100, 5000, seed)
-        for regime in REGIMES:
-            setup = LiquidationSetup(1e8, regime, 1e6)
-            first_neg, _ = liquidate_ensemble(
-                setup, ens.collateral_paths, ens.reserve_paths
-            )
-            assert not (first_neg >= 0).any(), (seed, regime)
+        assert worst_days(seed, [1e8], REGIMES) == [[None] * len(REGIMES)], seed
     _pass(3, "debt 100m never undercollateralized in any regime, 10 seeds")
 
 
 def test_criterion_4_default_at_high_debt():
     days = []
     for seed in range(10):
-        ens = simulate_correlated(COL, RES, 0.9, 100, 5000, seed)
-        setup = LiquidationSetup(4e8, LiquidityModel(30_000, 0.01), 1e6)
-        first_neg, _ = liquidate_ensemble(
-            setup, ens.collateral_paths, ens.reserve_paths
-        )
-        events = first_neg[first_neg >= 0]
-        if events.size:
-            days.append(int(events.min()))
+        [[day]] = worst_days(seed, [4e8], [LiquidityModel(30_000, 0.01)])
+        if day is not None:
+            days.append(day)
     assert len(days) >= 9
     assert 10 <= min(days) <= 40
     _pass(4, f"default in {len(days)}/10 seeds, earliest day {min(days)} in [10, 40]")
@@ -118,19 +124,12 @@ def test_criterion_5_heatmap_monotonicity():
     start = time.perf_counter()
     debt_grid = [1e8, 2e8, 3e8, 4e8]
     l0_grid = [10_000, 20_000, 30_000, 40_000]
+    regimes = [LiquidityModel(l0, 0.01) for l0 in l0_grid]
     for seed in (42, 7, 13):
-        ens = simulate_correlated(COL, RES, 0.9, 100, 5000, seed)
-        matrix = []
-        for debt in debt_grid:
-            row = []
-            for l0 in l0_grid:
-                setup = LiquidationSetup(debt, LiquidityModel(l0, 0.01), 1e6)
-                first_neg, _ = liquidate_ensemble(
-                    setup, ens.collateral_paths, ens.reserve_paths
-                )
-                events = first_neg[first_neg >= 0]
-                row.append(int(events.min()) if events.size else math.inf)
-            matrix.append(row)
+        matrix = [
+            [math.inf if day is None else day for day in row]
+            for row in worst_days(seed, debt_grid, regimes)
+        ]
         for j in range(len(l0_grid)):  # non-increasing in debt
             col = [matrix[i][j] for i in range(len(debt_grid))]
             assert col == sorted(col, reverse=True), (seed, col)

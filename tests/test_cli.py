@@ -215,6 +215,35 @@ class TestStress:
         assert run("stress", "--config", path, "--out", tmp_path / "o") == 3
         one_stderr_line(capsys, "numeric error:")
 
+    def test_overflowed_price_exits_3_without_warning(
+        self, tmp_path, baseline_config, capsys, recwarn
+    ):
+        # A drift of 10 per day drives collateral prices to inf.
+        cfg = dict(baseline_config, n_paths=200)
+        cfg["collateral"] = dict(cfg["collateral"], mu=10)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        assert run("stress", "--config", path, "--out", out) == 3
+        one_stderr_line(capsys, "numeric error:")
+        assert not out.exists()
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("chunk", [1, 2048])
+    def test_overflowing_margin_exits_3_whatever_the_chunking(
+        self, tmp_path, baseline_config, capsys, recwarn, monkeypatch, chunk
+    ):
+        # The reserve's value, 1e306 units at a price of about 223, is inf.
+        monkeypatch.setattr(paths, "CHUNK_PATHS", chunk)
+        cfg = dict(baseline_config, n_paths=200, reserve_quantity=1e306)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        assert run("stress", "--config", path, "--out", out) == 3
+        one_stderr_line(capsys, "numeric error:")
+        assert not out.exists()
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     def test_underflowed_price_exits_3_after_the_debt_is_discharged(
         self, tmp_path, baseline_config, capsys
     ):
@@ -287,6 +316,20 @@ class TestHeatmap:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         assert run("heatmap", "--config", path, "--out", tmp_path / "o") == 2
+
+
+@pytest.mark.parametrize("command", ["stress", "heatmap"])
+def test_negative_reserve_quantity_exits_2_before_drawing(
+    tmp_path, baseline_config, capsys, monkeypatch, command
+):
+    monkeypatch.setattr(paths, "_increments", None)
+    cfg = dict(baseline_config, n_paths=200, reserve_quantity=-1e6)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert run(command, "--config", path, "--out", out) == 2
+    one_stderr_line(capsys, "error:")
+    assert not out.exists()
 
 
 class TestSweepCost:

@@ -9,21 +9,30 @@ from defi_stress.paths import (
     COLLATERAL,
     RESERVE,
     GbmParams,
-    PathEnsemble,
+    correlated_chunks,
     correlated_path,
-    select_worst_path,
-    simulate_correlated,
     simulate_gbm,
 )
-from defi_stress.protocol import LiquidationSetup, LiquidityModel, liquidate_ensemble
+from defi_stress.protocol import LiquidationSetup, LiquidityModel, liquidate_cells
+from defi_stress.stress import _WorstPaths
 from oracle import philox_increments
 
 ETH_FIT = GbmParams(p0=223.0, mu=0.001592, sigma=0.050581)
 
 
-def log_return_corr(ensemble: PathEnsemble) -> float:
-    rc = np.diff(np.log(ensemble.collateral_paths), axis=1).ravel()
-    rr = np.diff(np.log(ensemble.reserve_paths), axis=1).ravel()
+def ensemble(collateral, reserve, rho, horizon_days, n_paths, seed):
+    """Every chunk of `correlated_chunks` for one rho, joined along the
+    path axis: day-major collateral and reserve prices, (days, paths)."""
+    chunks = correlated_chunks(
+        collateral, reserve, (rho,), horizon_days, n_paths, seed
+    )
+    _, col, res = zip(*chunks)
+    return np.concatenate(col, axis=1), np.concatenate(res, axis=2)[0]
+
+
+def log_return_corr(col: np.ndarray, res: np.ndarray) -> float:
+    rc = np.diff(np.log(col), axis=0).ravel()
+    rr = np.diff(np.log(res), axis=0).ravel()
     return float(np.corrcoef(rc, rr)[0, 1])
 
 
@@ -126,68 +135,62 @@ class TestSimulateGbm:
 
 class TestSimulateCorrelated:
     def test_perfect_correlation_identical_params(self):
-        ens = simulate_correlated(ETH_FIT, ETH_FIT, 1.0, 20, 50, seed=1)
-        assert np.array_equal(ens.collateral_paths, ens.reserve_paths)
+        col, res = ensemble(ETH_FIT, ETH_FIT, 1.0, 20, 50, seed=1)
+        assert np.array_equal(col, res)
 
     def test_zero_correlation(self):
-        ens = simulate_correlated(ETH_FIT, ETH_FIT, 0.0, 100, 100_000, seed=2)
-        assert abs(log_return_corr(ens)) < 0.02
+        col, res = ensemble(ETH_FIT, ETH_FIT, 0.0, 100, 100_000, seed=2)
+        assert abs(log_return_corr(col, res)) < 0.02
 
     def test_strong_correlation_half_sigma(self):
         reserve = GbmParams(223.0, 0.001592, 0.050581 / 2)
-        ens = simulate_correlated(ETH_FIT, reserve, 0.9, 100, 100_000, seed=3)
-        assert log_return_corr(ens) == pytest.approx(0.9, abs=0.02)
+        col, res = ensemble(ETH_FIT, reserve, 0.9, 100, 100_000, seed=3)
+        assert log_return_corr(col, res) == pytest.approx(0.9, abs=0.02)
 
     def test_collateral_matches_standalone_simulation(self):
-        ens = simulate_correlated(ETH_FIT, ETH_FIT, 0.5, 30, 40, seed=8)
+        col, _ = ensemble(ETH_FIT, ETH_FIT, 0.5, 30, 40, seed=8)
         standalone = simulate_gbm(ETH_FIT, 30, 40, seed=8)
-        assert np.array_equal(ens.collateral_paths, standalone)
+        assert np.array_equal(col.T, standalone)
 
     def test_fewer_paths_are_a_partition(self):
         reserve = GbmParams(223.0, 0.001592, 0.050581 / 2)
-        few = simulate_correlated(ETH_FIT, reserve, -0.4, 30, 3, seed=5)
-        many = simulate_correlated(ETH_FIT, reserve, -0.4, 30, 10, seed=5)
-        assert np.array_equal(few.collateral_paths, many.collateral_paths[:3])
-        assert np.array_equal(few.reserve_paths, many.reserve_paths[:3])
+        few = ensemble(ETH_FIT, reserve, -0.4, 30, 3, seed=5)
+        many = ensemble(ETH_FIT, reserve, -0.4, 30, 10, seed=5)
+        assert np.array_equal(few[0], many[0][:, :3])
+        assert np.array_equal(few[1], many[1][:, :3])
 
     def test_rho_out_of_range(self):
         with pytest.raises(InvalidParams):
-            simulate_correlated(ETH_FIT, ETH_FIT, 1.5, 10, 10, seed=0)
+            correlated_chunks(ETH_FIT, ETH_FIT, (1.5,), 10, 10, seed=0)
 
     def test_chunk_size_does_not_change_the_ensemble(self, monkeypatch):
         reserve = GbmParams(223.0, 0.001592, 0.050581 / 2)
-        whole = simulate_correlated(ETH_FIT, reserve, -0.4, 30, 50, seed=5)
+        whole = ensemble(ETH_FIT, reserve, -0.4, 30, 50, seed=5)
         monkeypatch.setattr(paths, "CHUNK_PATHS", 7)
-        chunked = simulate_correlated(ETH_FIT, reserve, -0.4, 30, 50, seed=5)
-        assert chunked.collateral_paths.tobytes() == whole.collateral_paths.tobytes()
-        assert chunked.reserve_paths.tobytes() == whole.reserve_paths.tobytes()
+        chunked = ensemble(ETH_FIT, reserve, -0.4, 30, 50, seed=5)
+        assert chunked[0].tobytes() == whole[0].tobytes()
+        assert chunked[1].tobytes() == whole[1].tobytes()
 
     def test_one_path_redraw_equals_its_column(self):
         reserve = GbmParams(223.0, 0.001592, 0.050581 / 2)
-        ens = simulate_correlated(ETH_FIT, reserve, -0.4, 30, 5000, seed=2**64 + 5)
+        col, res = ensemble(ETH_FIT, reserve, -0.4, 30, 5000, seed=2**64 + 5)
         for k in (0, 1, 2047, 2048, 4999):
-            col, res = correlated_path(ETH_FIT, reserve, -0.4, 30, 2**64 + 5, k)
-            assert col.tobytes() == ens.collateral_paths[k].tobytes()
-            assert res.tobytes() == ens.reserve_paths[k].tobytes()
+            one_col, one_res = correlated_path(ETH_FIT, reserve, -0.4, 30, 2**64 + 5, k)
+            assert one_col.tobytes() == col[:, k].tobytes()
+            assert one_res.tobytes() == res[:, k].tobytes()
 
 
-def flat_ensemble(matrix, reserve=None):
-    matrix = np.asarray(matrix, dtype=float)
-    reserve = matrix.copy() if reserve is None else np.asarray(reserve, dtype=float)
-    return PathEnsemble(
-        horizon_days=matrix.shape[1] - 1,
-        n_paths=matrix.shape[0],
-        seed=0,
-        correlation=0.0,
-        collateral_paths=matrix,
-        reserve_paths=reserve,
-    )
-
-
-def worst_path(ens, setup):
-    return select_worst_path(
-        *liquidate_ensemble(setup, ens.collateral_paths, ens.reserve_paths)
-    )
+def worst_path(matrix, setup):
+    """(worst path index, first negative day) of setup over the rows of
+    matrix, each a path of both the collateral and the reserve price,
+    folded one path at a time as one chunk each."""
+    prices = np.asarray(matrix, dtype=float).T
+    worst = _WorstPaths((1, 1))
+    for k in range(prices.shape[1]):
+        path = prices[:, k : k + 1]
+        worst.fold(k, *liquidate_cells([setup], path, path[None]))
+    idx, day, _ = worst.cell(0, 0)
+    return idx, day
 
 
 class TestFastestUndercollateralization:
@@ -199,17 +202,14 @@ class TestFastestUndercollateralization:
     def test_single_crossing_path(self):
         flat = [100.0] * 10
         crash = [100.0] * 7 + [10.0, 10.0, 10.0]
-        ens = flat_ensemble([flat, crash, flat])
-        assert worst_path(ens, self.setup) == (1, 7)
+        assert worst_path([flat, crash, flat], self.setup) == (1, 7)
 
     def test_tie_breaks_to_lower_index(self):
         crash = [100.0] * 7 + [10.0, 10.0, 10.0]
-        ens = flat_ensemble([[100.0] * 10, crash, crash])
-        assert worst_path(ens, self.setup) == (1, 7)
+        assert worst_path([[100.0] * 10, crash, crash], self.setup) == (1, 7)
 
     def test_no_event_returns_min_terminal_margin(self):
         high = [100.0] * 9 + [130.0]
         low = [100.0] * 9 + [90.0]  # margin 1.8*90 - 120 = 42 > 0
-        ens = flat_ensemble([high, low])
-        idx, day = worst_path(ens, self.setup)
+        idx, day = worst_path([high, low], self.setup)
         assert (idx, day) == (1, None)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from defi_stress.errors import HorizonMismatch, InvalidParams, MissingPrice
-from defi_stress.paths import GbmParams, correlated_chunks, simulate_correlated
+from defi_stress.paths import GbmParams, correlated_chunks
 from defi_stress.protocol import (
     CollateralPosition,
     CounterpartyParams,
@@ -17,7 +17,6 @@ from defi_stress.protocol import (
     _caps,
     _liquidate,
     liquidate_cells,
-    liquidate_ensemble,
     liquidity_at,
     liquidity_constraint_satisfied,
     margin_basic,
@@ -187,36 +186,38 @@ class TestRunLiquidation:
 
 
 class TestLiquidateEnsemble:
+    """One setup over every path of a simulated ensemble."""
+
     def test_matches_scalar_engine(self):
         col = GbmParams(223.0, -0.001592, 0.050581)
         res = GbmParams(223.0, -0.001592, 0.050581 / 2)
-        ens = simulate_correlated(col, res, 0.9, 60, 200, seed=13)
-        setup = LiquidationSetup(4e8, LiquidityModel(30_000, 0.01), 1e6)
-        first_neg, terminal = liquidate_ensemble(
-            setup, ens.collateral_paths, ens.reserve_paths
+        ((_, collateral, reserve),) = correlated_chunks(
+            col, res, (0.9,), 60, 200, seed=13
         )
+        setup = LiquidationSetup(4e8, LiquidityModel(30_000, 0.01), 1e6)
+        first_neg, terminal = liquidate_cells([setup], collateral, reserve)
         state = single_asset_state(
             setup.initial_collateral_units(223.0), 4e8, reserve=1e6
         )
         for k in range(200):
-            args = (
-                state, ens.collateral_paths[k], ens.reserve_paths[k], setup.liquidity
-            )
+            args = (state, collateral[:, k], reserve[0, :, k], setup.liquidity)
             expected = scalar_liquidation(*args)
             expected_day = (
                 -1
                 if expected.first_negative_day is None
                 else expected.first_negative_day
             )
-            assert first_neg[k] == expected_day
-            assert terminal[k] == pytest.approx(expected.terminal_margin, rel=1e-12)
+            assert first_neg[0, 0, k] == expected_day
+            assert terminal[0, 0, k] == pytest.approx(
+                expected.terminal_margin, rel=1e-12
+            )
             # Same arithmetic in the same order: the trace matches exactly.
             assert run_liquidation(*args) == expected
 
     def test_shape_mismatch(self):
         setup = LiquidationSetup(1e8, LiquidityModel(30_000), 1e6)
         with pytest.raises(HorizonMismatch):
-            liquidate_ensemble(setup, np.ones((2, 5)), np.ones((2, 4)))
+            liquidate_cells([setup], np.ones((5, 2)), np.ones((1, 4, 2)))
 
 
 class TestLiquidationBlock:
@@ -265,7 +266,7 @@ class TestLiquidationBlock:
             np.array([[s.debt] for s in self.setups]),
             np.array([[s.initial_collateral_units(223.0)] for s in self.setups]),
             1e6,
-            _caps([s.liquidity for s in self.setups], 61),
+            _caps(tuple(s.liquidity for s in self.setups), 61),
             collateral,
             reserve,
             record,
@@ -295,7 +296,7 @@ class TestLiquidationBlock:
         # anywhere from day 0 to day 99.
         prices = 100.0 * (1.0 + np.arange(50) / 10.0)
         collateral = np.tile(prices, (200, 1))
-        liquidity = [LiquidityModel(l0) for l0 in (10.0, 30.0, 100.0, 1e4)]
+        liquidity = tuple(LiquidityModel(l0) for l0 in (10.0, 30.0, 100.0, 1e4))
         stepped = live = 0
         stop_days = []
 

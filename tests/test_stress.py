@@ -7,8 +7,8 @@ import pytest
 
 from defi_stress import paths, stress
 from defi_stress.errors import InvalidParams, SchemaError
-from defi_stress.paths import GbmParams, select_worst_path, simulate_correlated
-from defi_stress.protocol import LiquidityModel, liquidate_ensemble
+from defi_stress.paths import GbmParams, correlated_chunks
+from defi_stress.protocol import LiquidityModel, liquidate_cells
 from defi_stress.stress import (
     ScenarioConfig,
     correlation_sweep,
@@ -17,6 +17,7 @@ from defi_stress.stress import (
     write_heatmap_csv,
     write_report,
 )
+from oracle import select_worst_path
 
 BASELINE_COL = GbmParams(223.0, -0.001592, 0.050581)
 BASELINE_RES = GbmParams(223.0, -0.001592, 0.050581 / 2)
@@ -101,23 +102,6 @@ class TestRunScenario:
         keys = {(c.debt, c.liquidity) for c in report.cells}
         assert len(keys) == 4
 
-    def test_thread_count_does_not_change_results(self):
-        config = small_config(
-            debt_levels=(1e8, 4e8),
-            liquidity_regimes=(
-                LiquidityModel(30_000, 0.0),
-                LiquidityModel(30_000, 0.01),
-            ),
-            n_paths=300,
-        )
-        a = run_scenario(config, threads=1)
-        b = run_scenario(config, threads=4)
-        for ca, cb in zip(a.cells, b.cells):
-            assert ca.worst_path_index == cb.worst_path_index
-            assert ca.first_negative_day == cb.first_negative_day
-            assert ca.terminal_margin == cb.terminal_margin
-            assert ca.trace.margins == cb.trace.margins
-
     def test_outputs_byte_identical_across_chunk_sizes(self, monkeypatch, tmp_path):
         config = small_config(
             n_paths=150,
@@ -128,12 +112,17 @@ class TestRunScenario:
             ),
         )
         grids = ([1e8, 3e8, 4e8], [10_000, 30_000])
+        grid_config = replace(
+            config,
+            debt_levels=tuple(grids[0]),
+            liquidity_regimes=tuple(LiquidityModel(l0) for l0 in grids[1]),
+        )
         outputs = []
         for chunk in (1, 7, 2048, config.n_paths):
             monkeypatch.setattr(paths, "CHUNK_PATHS", chunk)
             out = tmp_path / str(chunk)
             write_report(run_scenario(config), out)
-            write_heatmap_csv(heatmap(config, *grids), *grids, out / "heatmap.csv")
+            write_heatmap_csv(heatmap(grid_config), *grids, out / "heatmap.csv")
             outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
         assert len(outputs[0]) == 6
         first_days = json.loads(outputs[0]["summary.json"])["cells"]
@@ -152,17 +141,17 @@ class TestRunScenario:
         )
         monkeypatch.setattr(paths, "CHUNK_PATHS", 64)
         report = run_scenario(config)
-        ens = simulate_correlated(
-            BASELINE_COL, BASELINE_RES, 0.9, 100, 300, seed=42
+        # The whole ensemble as one chunk, every cell liquidated at once.
+        monkeypatch.setattr(paths, "CHUNK_PATHS", config.n_paths)
+        ((_, collateral, reserve),) = correlated_chunks(
+            BASELINE_COL, BASELINE_RES, (0.9,), 100, 300, seed=42
         )
-        for cell, setup in zip(report.cells, config.setups()):
-            first_neg, terminal = liquidate_ensemble(
-                setup, ens.collateral_paths, ens.reserve_paths
-            )
+        first_neg, terminal = liquidate_cells(config.setups(), collateral, reserve)
+        for row, cell in enumerate(report.cells):
             assert (cell.worst_path_index, cell.first_negative_day) == (
-                select_worst_path(first_neg, terminal)
+                select_worst_path(first_neg[0, row], terminal[0, row])
             )
-            assert cell.min_terminal_margin == terminal.min()
+            assert cell.min_terminal_margin == terminal[0, row].min()
 
     def test_report_files_are_byte_identical_across_runs(self, tmp_path):
         config = small_config(n_paths=300)
@@ -178,7 +167,7 @@ class TestRunScenario:
 class TestHeatmap:
     def test_single_cell_matches_run_scenario(self):
         config = small_config(n_paths=400)
-        matrix = heatmap(config, [4e8], [30_000], decay_rho=0.01)
+        matrix = heatmap(config)
         report = run_scenario(config)
         assert matrix[0][0] == report.cells[0].first_negative_day
 
@@ -196,15 +185,20 @@ class TestHeatmap:
         ]
         calls = []
         monkeypatch.setattr(stress, "run_liquidation", lambda *a: calls.append(a))
-        assert heatmap(config, debts, l0s) == expected
+        assert heatmap(config) == expected
         assert calls == []
 
     def test_monotone_in_debt_and_liquidity(self):
         for seed in (1, 2):
-            config = small_config(n_paths=2000, seed=seed)
-            matrix = heatmap(
-                config, [1e8, 2e8, 3e8, 4e8], [10_000, 20_000, 30_000], decay_rho=0.01
+            config = small_config(
+                n_paths=2000,
+                seed=seed,
+                debt_levels=(1e8, 2e8, 3e8, 4e8),
+                liquidity_regimes=tuple(
+                    LiquidityModel(l0, 0.01) for l0 in (10_000, 20_000, 30_000)
+                ),
             )
+            matrix = heatmap(config)
             as_num = [
                 [math.inf if v is None else v for v in row] for row in matrix
             ]
@@ -215,8 +209,11 @@ class TestHeatmap:
                 assert as_num[i] == sorted(as_num[i]), (seed, as_num[i])
 
     def test_empty_grid_rejected(self):
-        with pytest.raises(InvalidParams):
-            heatmap(small_config(), [], [30_000])
+        # A heatmap's grid is its config's cells: an empty grid is rejected
+        # when the config is built.
+        for empty in (dict(debt_levels=()), dict(liquidity_regimes=())):
+            with pytest.raises(InvalidParams):
+                small_config(**empty)
 
     def test_csv_serializes_none_as_empty(self, tmp_path):
         out = tmp_path / "heatmap.csv"
@@ -241,7 +238,8 @@ class TestCorrelationSweep:
     def test_equals_run_scenario_per_rho_with_shocks_drawn_once(
         self, monkeypatch, threads
     ):
-        # threads has no effect; both values must give the same reports.
+        # correlation_sweep's threads has no effect; both values must give
+        # the same reports.
         config = small_config(
             n_paths=300,
             debt_levels=(1e8, 4e8),
@@ -266,9 +264,7 @@ class TestCorrelationSweep:
         assert list(sweep) == rhos
         for rho in rhos:
             # dataclass equality compares every field, traces included
-            assert sweep[rho] == run_scenario(
-                replace(config, rho_corr=rho), threads=threads
-            )
+            assert sweep[rho] == run_scenario(replace(config, rho_corr=rho))
 
     def test_rejects_out_of_range_rho_before_drawing(self, monkeypatch):
         monkeypatch.setattr(paths, "_increments", None)
