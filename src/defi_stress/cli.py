@@ -1,7 +1,9 @@
 """Command-line entry point.
 
 Subcommands: ingest, stress, heatmap, sweep-cost, attack, contagion.
-Exit codes: 0 success, 2 input/validation error, 3 numeric error.
+Exit codes: 0 success, 2 input/validation error or a bad path, 3 numeric
+error or out of memory. Each command parses its whole config before it
+computes anything or creates its output directory.
 Log level comes from the DEFI_STRESS_LOG environment variable.
 """
 
@@ -12,11 +14,12 @@ import json
 import logging
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__, attack, contagion, marketdata, stress
 from .errors import InputError, NumericError, SchemaError, check_schema
+from .errors import as_int, as_list, as_pair, as_str
 from .manifest import write_json, write_manifest
 
 log = logging.getLogger("defi_stress")
@@ -33,38 +36,117 @@ def _reject_constant(name: str):
     raise ValueError(f"non-finite number {name}")
 
 
-def _read_json(path: Path) -> tuple[dict, bytes]:
-    """A config file's top-level object and its bytes. NaN and the
-    infinities, which Python's json accepts, are rejected."""
-    raw = path.read_bytes()
+def _config(args: argparse.Namespace, schema: str, parse) -> tuple:
+    """(parse(raw), config bytes) of the JSON object in args.config, whose
+    "schema" must be schema. Invalid JSON, NaN and the infinities (which
+    Python's json accepts), and whatever parse fails on raise SchemaError:
+    each command parses its whole config here, before it computes or writes."""
+    path = Path(args.config)
+    config_bytes = path.read_bytes()
     try:
-        parsed = json.loads(raw, parse_constant=_reject_constant)
-    except ValueError as exc:  # JSONDecodeError among them
-        raise SchemaError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(parsed, dict):
-        raise SchemaError(f"{path}: expected a JSON object at the top level")
-    return parsed, raw
+        raw = json.loads(config_bytes, parse_constant=_reject_constant)
+        if not isinstance(raw, dict):
+            raise SchemaError(f"{path}: expected a JSON object at the top level")
+        check_schema(raw, schema)
+        return parse(raw), config_bytes
+    except (KeyError, IndexError, AttributeError, TypeError, ValueError) as exc:
+        raise SchemaError(f"bad config {path}: {type(exc).__name__}: {exc}") from exc
+
+
+def _out_dir(args: argparse.Namespace) -> Path:
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
 
 
 def _scenario(raw: dict, args: argparse.Namespace) -> stress.ScenarioConfig:
     """The scenario of a raw stress config, with --seed applied."""
-    config = stress.ScenarioConfig.from_dict(raw)
     if args.seed is not None:
-        config = replace(config, seed=args.seed)
-    return config
+        raw = dict(raw, seed=args.seed)
+    return stress.ScenarioConfig.from_dict(raw)
 
 
-def _load_books(raw_books: list) -> tuple[attack.OrderBookSnapshot, ...]:
-    try:
-        return tuple(
-            attack.OrderBookSnapshot(
-                venue_id=b["venue"],
-                levels=tuple((float(p), float(q)) for p, q in b["levels"]),
-            )
-            for b in raw_books
+def _heatmap_scenario(raw: dict, args: argparse.Namespace) -> stress.ScenarioConfig:
+    """The scenario of a stress config's heatmap grid. It replaces the
+    config's own cells, which are therefore not validated."""
+    spec = raw["heatmap"]
+    decay_rho = spec.get("decay_rho")
+    if decay_rho is None:
+        decay_rho = raw["liquidity_regimes"][0].get("rho", 0.0)
+    grid = [
+        {"l0": float(l0), "rho": float(decay_rho)}
+        for l0 in as_list(spec["l0_grid"], "l0_grid")
+    ]
+    debt_grid = as_list(spec["debt_grid"], "debt_grid")
+    return _scenario(dict(raw, debt_levels=debt_grid, liquidity_regimes=grid), args)
+
+
+def _books(raw: dict) -> tuple[attack.OrderBookSnapshot, ...]:
+    return tuple(
+        attack.OrderBookSnapshot(
+            venue_id=as_str(b["venue"], "venue"),
+            levels=tuple(as_pair(v, "level") for v in as_list(b["levels"], "levels")),
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"bad order book entry: {exc}") from exc
+        for b in as_list(raw["books"], "books")
+    )
+
+
+def _attack_plans(raw: dict) -> list[tuple[str, attack.AttackPlan]]:
+    """(strategy name, plan) of each strategy of an attack plan config."""
+    base = dict(
+        tokens_needed=float(raw["tokens_needed"]),
+        books=_books(raw),
+        flash_pools=tuple(
+            attack.FlashPool(
+                as_str(p["pool"], "pool"), float(p["available"]), float(p["fee_rate"])
+            )
+            for p in as_list(raw["flash_pools"], "flash_pools")
+        ),
+        seizable_collateral=float(raw["seizable_collateral"]),
+        mintable_debt=float(raw["mintable_debt"]),
+        governance_token_price=float(raw["governance_token_price"]),
+        loan_currency_price=float(raw["loan_currency_price"]),
+    )
+    return [
+        (s["name"], attack.AttackPlan(gas_cost=float(s["gas_cost"]), **base))
+        for s in as_list(raw["strategies"], "strategies")
+    ]
+
+
+def _contagion(raw: dict, args: argparse.Namespace) -> tuple:
+    """(seed, composition models, sweepable totals, damage scenarios) of a
+    contagion model config. The market snapshot is read and summed here."""
+    seed = as_int(raw.get("seed", 0) if args.seed is None else args.seed, "seed")
+    n_protocols = as_int(raw.get("n_protocols", 1), "n_protocols")
+    total_debt = float(raw.get("total_debt", 0))
+    n_samples = as_int(raw.get("n_samples", 100_000), "n_samples")
+    models = [
+        contagion.CompositionModel(
+            n_protocols=n_protocols,
+            total_debt=total_debt,
+            lambda_range=as_pair(r, "lambda range"),
+            seed=seed,
+            n_samples=n_samples,
+        )
+        for r in as_list(raw.get("lambda_ranges", []), "lambda_ranges")
+    ]
+    sweepable = {}
+    if raw.get("snapshot_csv"):
+        # An absolute path replaces the config's directory.
+        snapshot_path = Path(args.config).parent / raw["snapshot_csv"]
+        snapshot = contagion.MarketSnapshot.from_csv(snapshot_path)
+        sweepable["sweepable_unlimited"] = contagion.sweepable_total(snapshot)
+        if raw.get("holdings_cap") is not None:
+            sweepable["sweepable_capped"] = contagion.sweepable_total(
+                snapshot, float(raw["holdings_cap"])
+            )
+    scenarios = [
+        contagion.DamageScenario(
+            s["label"], float(s["loss"]), bool(s.get("lower_bound", False))
+        )
+        for s in as_list(raw.get("damage_scenarios", []), "damage_scenarios")
+    ]
+    return seed, models, sweepable, scenarios
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
@@ -79,8 +161,9 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_stress(args: argparse.Namespace) -> int:
-    raw, config_bytes = _read_json(Path(args.config))
-    config = _scenario(raw, args)
+    config, config_bytes = _config(
+        args, stress.CONFIG_SCHEMA, lambda raw: _scenario(raw, args)
+    )
     report = stress.run_scenario(config)
     out_dir = Path(args.out)
     written = stress.write_report(report, out_dir)
@@ -90,42 +173,22 @@ def cmd_stress(args: argparse.Namespace) -> int:
 
 
 def cmd_heatmap(args: argparse.Namespace) -> int:
-    raw, config_bytes = _read_json(Path(args.config))
-    grid_spec = raw.get("heatmap")
-    if not grid_spec:
-        raise SchemaError("config lacks a 'heatmap' section")
-    try:
-        debt_grid = [float(d) for d in grid_spec["debt_grid"]]
-        l0_grid = [float(v) for v in grid_spec["l0_grid"]]
-        decay_rho = grid_spec.get("decay_rho")
-        if decay_rho is None:
-            decay_rho = raw["liquidity_regimes"][0].get("rho", 0.0)
-        decay_rho = float(decay_rho)
-    except (KeyError, IndexError, AttributeError, TypeError, ValueError) as exc:
-        raise SchemaError(f"bad heatmap section: {exc}") from exc
-    # The heatmap evaluates its grid in place of the config's own cells, so
-    # only the grid is validated.
-    grid = [{"l0": l0, "rho": decay_rho} for l0 in l0_grid]
-    config = _scenario(
-        dict(raw, debt_levels=debt_grid, liquidity_regimes=grid), args
+    config, config_bytes = _config(
+        args, stress.CONFIG_SCHEMA, lambda raw: _heatmap_scenario(raw, args)
     )
     matrix = stress.heatmap(config)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args)
     heatmap_path = out_dir / "heatmap.csv"
-    stress.write_heatmap_csv(matrix, debt_grid, l0_grid, heatmap_path)
+    l0_grid = [regime.l0 for regime in config.liquidity_regimes]
+    stress.write_heatmap_csv(matrix, config.debt_levels, l0_grid, heatmap_path)
     write_manifest(out_dir, config_bytes, config.seed, [heatmap_path])
     return EXIT_OK
 
 
 def cmd_sweep_cost(args: argparse.Namespace) -> int:
-    raw, config_bytes = _read_json(Path(args.config))
-    check_schema(raw, PLAN_SCHEMA)
-    try:
-        books = _load_books(raw["books"])
-        target = float(raw["tokens_needed"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"bad sweep config: {exc}") from exc
+    (books, target), config_bytes = _config(
+        args, PLAN_SCHEMA, lambda raw: (_books(raw), float(raw["tokens_needed"]))
+    )
     result = attack.sweep_cost(books, target)
     report = {
         "target_qty": target,
@@ -133,111 +196,41 @@ def cmd_sweep_cost(args: argparse.Namespace) -> int:
         "venue_fills": result.venue_totals(),
         "fills": [list(f) for f in result.fills],
     }
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args)
     report_path = write_json(out_dir / "sweep_cost.json", report)
     write_manifest(out_dir, config_bytes, 0, [report_path])
     return EXIT_OK
 
 
 def cmd_attack(args: argparse.Namespace) -> int:
-    raw, config_bytes = _read_json(Path(args.config))
-    check_schema(raw, PLAN_SCHEMA)
-    try:
-        base = dict(
-            tokens_needed=float(raw["tokens_needed"]),
-            books=_load_books(raw["books"]),
-            flash_pools=tuple(
-                attack.FlashPool(p["pool"], float(p["available"]), float(p["fee_rate"]))
-                for p in raw["flash_pools"]
-            ),
-            seizable_collateral=float(raw["seizable_collateral"]),
-            mintable_debt=float(raw["mintable_debt"]),
-            governance_token_price=float(raw["governance_token_price"]),
-            loan_currency_price=float(raw["loan_currency_price"]),
-        )
-        strategies = [
-            (s["name"], float(s["gas_cost"])) for s in raw["strategies"]
-        ]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"bad attack plan: {exc}") from exc
+    plans, config_bytes = _config(args, PLAN_SCHEMA, _attack_plans)
     results = {}
-    for name, gas in strategies:
-        plan = attack.AttackPlan(gas_cost=gas, **base)
-        outcome = attack.attack_profit(plan, name)
-        results[name] = {
-            "executed": outcome.executed,
-            "net_profit": outcome.net_profit,
-            "holdings": outcome.holdings,
-            "sweep_cost": outcome.sweep_cost,
-            "loan_interest": outcome.loan_interest,
-        }
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, plan in plans:
+        results[name] = asdict(attack.attack_profit(plan, name))
+        del results[name]["strategy"]
+    out_dir = _out_dir(args)
     report_path = write_json(out_dir / "attack_report.json", results)
     write_manifest(out_dir, config_bytes, 0, [report_path])
     return EXIT_OK
 
 
 def cmd_contagion(args: argparse.Namespace) -> int:
-    raw, config_bytes = _read_json(Path(args.config))
-    check_schema(raw, MODEL_SCHEMA)
-    try:
-        ranges = [tuple(map(float, r)) for r in raw.get("lambda_ranges", [])]
-        seed = int(args.seed if args.seed is not None else raw.get("seed", 0))
-        n_samples = int(raw.get("n_samples", 100_000))
-        n_protocols = int(raw.get("n_protocols", 1))
-        total_debt = float(raw.get("total_debt", 0))
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"bad contagion model: {exc}") from exc
-    models = [
-        contagion.CompositionModel(
-            n_protocols=n_protocols,
-            total_debt=total_debt,
-            lambda_range=(low, high),
-            seed=seed,
-            n_samples=n_samples,
-        )
-        for low, high in ranges
-    ]
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    (seed, models, sweepable, scenarios), config_bytes = _config(
+        args, MODEL_SCHEMA, lambda raw: _contagion(raw, args)
+    )
+    out_dir = _out_dir(args)
     written = []
-    summary: dict = {}
-    if models:
-        summary["losses"] = {}
-        for model in models:
-            low, high = model.lambda_range
-            dist = contagion.max_systemic_loss(model)
-            name = f"losses_{low:g}-{high:g}.csv"
-            contagion.write_loss_csv(dist, out_dir / name)
-            written.append(out_dir / name)
-            summary["losses"][f"{low:g}-{high:g}"] = {
-                "mean": dist.mean,
-                "min": dist.min,
-                "max": dist.max,
-            }
-    if raw.get("snapshot_csv"):
-        snapshot_path = Path(raw["snapshot_csv"])
-        if not snapshot_path.is_absolute():
-            snapshot_path = Path(args.config).parent / snapshot_path
-        snapshot = contagion.MarketSnapshot.from_csv(snapshot_path)
-        cap = raw.get("holdings_cap")
-        summary["sweepable_unlimited"] = contagion.sweepable_total(snapshot)
-        if cap is not None:
-            summary["sweepable_capped"] = contagion.sweepable_total(
-                snapshot, float(cap)
-            )
-    if raw.get("damage_scenarios"):
-        scenarios = [
-            contagion.DamageScenario(
-                s["label"], float(s["loss"]), bool(s.get("lower_bound", False))
-            )
-            for s in raw["damage_scenarios"]
-        ]
-        damage_path = out_dir / "damage_table.csv"
-        damage_path.write_text(contagion.damage_table(scenarios))
-        written.append(damage_path)
+    summary: dict = {"losses": {}} if models else {}
+    for model in models:
+        dist = contagion.max_systemic_loss(model)
+        name = "{:g}-{:g}".format(*model.lambda_range)
+        written.append(out_dir / f"losses_{name}.csv")
+        contagion.write_loss_csv(dist, written[-1])
+        summary["losses"][name] = {"mean": dist.mean, "min": dist.min, "max": dist.max}
+    summary.update(sweepable)
+    if scenarios:
+        written.append(out_dir / "damage_table.csv")
+        written[-1].write_text(contagion.damage_table(scenarios))
     written.append(write_json(out_dir / "contagion_summary.json", summary))
     write_manifest(out_dir, config_bytes, seed, written)
     return EXIT_OK
@@ -292,11 +285,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, FileNotFoundError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (NumericError, FloatingPointError, OverflowError, ZeroDivisionError) as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
+    except (NumericError, ArithmeticError, MemoryError) as exc:
+        print(f"numeric error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_NUMERIC
 
 

@@ -102,6 +102,10 @@ class DamageScenario:
     loss: float
     lower_bound: bool = False
 
+    def __post_init__(self):
+        if not math.isfinite(self.loss):
+            raise InvalidParams("damage losses must be finite")
+
 
 def sweepable_total(
     snapshot: MarketSnapshot, holdings_cap: float | None = None

@@ -134,11 +134,10 @@ def simulate_gbm(
     horizon_days: int,
     n_paths: int,
     seed: int,
-    asset_index: int = COLLATERAL,
 ) -> np.ndarray:
     """Simulate daily GBM prices; shape (n_paths, horizon_days + 1)."""
     _check_size(horizon_days, n_paths)
-    z = _increments(seed, asset_index, horizon_days, n_paths)
+    z = _increments(seed, COLLATERAL, horizon_days, n_paths)
     return _prices_from_shocks(params, z).T
 
 

@@ -20,9 +20,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidParams, SchemaError, check_schema
+from .errors import InvalidParams, SchemaError, as_int, as_list, check_schema
 from .manifest import write_json
 from .paths import GbmParams, correlated_chunks, correlated_path
+from .paths import _check_rho, _check_size
 from .protocol import (
     CollateralPosition,
     LiquidationSetup,
@@ -59,21 +60,21 @@ class ScenarioConfig:
             raise InvalidParams("debt levels must be non-empty and positive")
         if not self.liquidity_regimes:
             raise InvalidParams("at least one liquidity regime required")
-        # Each cell writes its trace to a file named by its (debt, regime)
-        # pair, to 6 significant digits.
-        names = set()
+        # A cell's debt, l0 and rho name its trace file and label its heatmap
+        # row and column, to 6 significant digits.
+        cells = {}
         for setup in self.setups():
+            cell = (setup.debt, setup.liquidity.l0, setup.liquidity.rho)
             name = _trace_name(setup.debt, setup.liquidity)
-            if name in names:
+            if name in cells:
                 raise InvalidParams(
-                    f"two cells would write {name}: debt levels and "
-                    "liquidity regimes must differ in 6 significant digits"
+                    f"cells (debt, l0, rho) {cells[name]} and {cell} print "
+                    "alike: debt levels and liquidity regimes must differ in "
+                    "6 significant digits"
                 )
-            names.add(name)
-        if self.horizon_days < 1:
-            raise InvalidParams("horizon must be >= 1 day")
-        if not -1.0 <= self.rho_corr <= 1.0:
-            raise InvalidParams("rho_corr must lie in [-1, 1]")
+            cells[name] = cell
+        _check_size(self.horizon_days, self.n_paths)
+        _check_rho(self.rho_corr)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
@@ -83,12 +84,15 @@ class ScenarioConfig:
                 collateral_params=GbmParams(**raw["collateral"]),
                 reserve_params=GbmParams(**raw["reserve"]),
                 rho_corr=float(raw["rho_corr"]),
-                horizon_days=int(raw["horizon_days"]),
-                n_paths=int(raw["n_paths"]),
-                seed=int(raw["seed"]),
-                debt_levels=tuple(float(d) for d in raw["debt_levels"]),
+                horizon_days=as_int(raw["horizon_days"], "horizon_days"),
+                n_paths=as_int(raw["n_paths"], "n_paths"),
+                seed=as_int(raw["seed"], "seed"),
+                debt_levels=tuple(
+                    float(d) for d in as_list(raw["debt_levels"], "debt_levels")
+                ),
                 liquidity_regimes=tuple(
-                    LiquidityModel(**r) for r in raw["liquidity_regimes"]
+                    LiquidityModel(**r)
+                    for r in as_list(raw["liquidity_regimes"], "liquidity_regimes")
                 ),
                 reserve_quantity=float(raw["reserve_quantity"]),
                 collateral_ratio=float(raw.get("collateral_ratio", 1.5)),

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import os
@@ -148,13 +149,15 @@ class TestStress:
         assert run("stress", "--config", path, "--out", tmp_path / "o") == 2
 
     def test_colliding_trace_names_exit_2(self, tmp_path, baseline_config, capsys):
-        # Both debt levels print as 1e+08 in a trace file name.
+        # Both debt levels print as 1e+08 in a trace file name; the message
+        # names the two cells.
         cfg = dict(baseline_config, n_paths=200, debt_levels=[1e8, 1.0000001e8])
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         out = tmp_path / "o"
         assert run("stress", "--config", path, "--out", out) == 2
-        assert "trace_debt1e+08_l030000_rho0.csv" in capsys.readouterr().err
+        err = one_stderr_line(capsys, "error: cells (debt, l0, rho)")
+        assert "(100000000.0, 30000, 0.0) and (100000010.0, 30000, 0.0)" in err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -487,4 +490,147 @@ def test_wrong_schema_exits_2(data_dir, tmp_path, capsys, command, fixture):
     out = tmp_path / "o"
     assert run(command, "--config", cfg, "--out", out) == 2
     assert "expected schema" in one_stderr_line(capsys, "error:")
+    assert not out.exists()
+
+
+STRESS = "baseline_scenario.json"
+PLAN = "maker_feb2020.json"
+MODEL = "contagion_feb2020.json"
+
+
+def bundled(data_dir, fixture, at=(), value=None):
+    """A small copy of a bundled config, with the value at key path at
+    replaced by value if at is given."""
+    cfg = json.loads((data_dir / fixture).read_text())
+    if fixture == STRESS:
+        cfg.update(n_paths=8, horizon_days=10)
+    if fixture == PLAN:
+        cfg.update(tokens_needed=40_000)  # short of the books' full depth
+    if fixture == MODEL:
+        cfg.update(n_samples=50, snapshot_csv=str(data_dir / "dai_markets.csv"))
+    if at:
+        cfg = copy.deepcopy(cfg)
+        node = cfg
+        for key in at[:-1]:
+            node = node[key]
+        node[at[-1]] = value
+    return cfg
+
+
+@pytest.mark.parametrize(
+    "command, fixture, at, value",
+    [
+        # Inputs that ended in a traceback, most after writing loss CSVs.
+        ("contagion", MODEL, ("damage_scenarios", 0), {"loss": 1e8}),
+        ("contagion", MODEL, ("damage_scenarios", 0, "loss"), "x"),
+        ("contagion", MODEL, ("lambda_ranges", 0), [1.01, 1.5, 2.0]),
+        ("contagion", MODEL, ("holdings_cap",), "abc"),
+        ("contagion", MODEL, ("snapshot_csv",), 5),
+        ("contagion", MODEL, ("damage_scenarios",), 5),
+        ("contagion", MODEL, ("snapshot_csv",), "."),
+        ("sweep-cost", PLAN, ("books", 0, "venue"), ["kyber"]),
+        ("attack", PLAN, ("flash_pools", 0, "pool"), ["dydx"]),
+        ("contagion", MODEL, ("damage_scenarios", 0, "loss"), "inf"),
+        # A string where a list is expected, which Python would iterate.
+        ("stress", STRESS, ("debt_levels",), "12"),
+        ("heatmap", STRESS, ("heatmap", "debt_grid"), "12"),
+        ("heatmap", STRESS, ("heatmap", "l0_grid"), "12"),
+        ("contagion", MODEL, ("lambda_ranges", 0), "23"),
+        ("contagion", MODEL, ("damage_scenarios",), "ab"),
+        ("sweep-cost", PLAN, ("books", 0, "levels", 0), "12"),
+        # A bool or a fraction in an integer field.
+        ("stress", STRESS, ("horizon_days",), 1.5),
+        ("stress", STRESS, ("seed",), 1.7),
+        ("stress", STRESS, ("n_paths",), True),
+        ("contagion", MODEL, ("n_samples",), 2.5),
+        ("contagion", MODEL, ("n_protocols",), True),
+        # A venue that is not a string.
+        ("sweep-cost", PLAN, ("books", 0, "venue"), 5),
+    ],
+)
+def test_malformed_config_exits_2_before_writing(
+    data_dir, tmp_path, capsys, command, fixture, at, value
+):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(bundled(data_dir, fixture, at, value)))
+    out = tmp_path / "o"
+    assert run(command, "--config", cfg, "--out", out) == 2
+    one_stderr_line(capsys, "error:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, fixture, at, value",
+    [
+        ("stress", STRESS, ("horizon_days",), 1e1),
+        ("stress", STRESS, ("seed",), "42"),
+        ("contagion", MODEL, ("n_samples",), 5e1),
+    ],
+)
+def test_integral_float_or_numeric_string_is_an_integer(
+    data_dir, tmp_path, command, fixture, at, value
+):
+    # Each value equals the bundled one, so the reports are the same.
+    reports = []
+    for name, cfg in [
+        ("base", bundled(data_dir, fixture)),
+        ("edited", bundled(data_dir, fixture, at, value)),
+    ]:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cfg))
+        assert run(command, "--config", path, "--out", tmp_path / name) == 0
+        report = "summary.json" if command == "stress" else "contagion_summary.json"
+        reports.append((tmp_path / name / report).read_bytes())
+    assert reports[0] == reports[1]
+
+
+def test_config_that_is_a_directory_exits_2(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run("stress", "--config", tmp_path, "--out", out) == 2
+    one_stderr_line(capsys, "error:")
+    assert not out.exists()
+
+
+def test_out_that_is_a_file_exits_2(data_dir, tmp_path, capsys):
+    out = tmp_path / "o"
+    out.write_text("kept")
+    assert run("attack", "--config", data_dir / PLAN, "--out", out) == 2
+    one_stderr_line(capsys, "error:")
+    assert out.read_text() == "kept"
+
+
+def test_heatmap_cells_that_print_alike_exit_2(data_dir, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    # Both debt levels print as 1e+08 in heatmap.csv.
+    grid = bundled(data_dir, STRESS, ("heatmap", "debt_grid"), [1e8, 1.0000001e8])
+    cfg.write_text(json.dumps(grid))
+    out = tmp_path / "o"
+    assert run("heatmap", "--config", cfg, "--out", out) == 2
+    err = one_stderr_line(capsys, "error: cells (debt, l0, rho)")
+    assert "(100000000.0, 10000.0, 0.01) and (100000010.0, 10000.0, 0.01)" in err
+    assert "trace" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["stress", "heatmap"])
+def test_no_paths_exits_2_at_load(data_dir, tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr(paths, "_increments", None)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(bundled(data_dir, STRESS, ("n_paths",), 0)))
+    out = tmp_path / "o"
+    assert run(command, "--config", cfg, "--out", out) == 2
+    assert "at least one path" in one_stderr_line(capsys, "error:")
+    assert not out.exists()
+
+
+def test_out_of_memory_exits_3(data_dir, tmp_path, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(paths, "_increments", exhausted)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(bundled(data_dir, STRESS)))
+    out = tmp_path / "o"
+    assert run("stress", "--config", cfg, "--out", out) == 3
+    assert one_stderr_line(capsys, "numeric error:") == "numeric error: MemoryError"
     assert not out.exists()

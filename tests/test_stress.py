@@ -56,6 +56,10 @@ class TestScenarioConfig:
         with pytest.raises(InvalidParams):
             ScenarioConfig.from_dict(bad)
 
+    def test_rejects_no_paths(self):
+        with pytest.raises(InvalidParams, match="at least one path"):
+            small_config(n_paths=0)
+
     def test_rejects_empty_debt_levels(self):
         with pytest.raises(InvalidParams):
             small_config(debt_levels=())
