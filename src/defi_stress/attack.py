@@ -29,6 +29,8 @@ class OrderBookSnapshot:
     def __post_init__(self):
         prev = 0.0
         for price, qty in self.levels:
+            if not (math.isfinite(price) and math.isfinite(qty)):
+                raise InvalidParams(f"{self.venue_id}: levels must be finite")
             if price <= 0:
                 raise InvalidParams(f"{self.venue_id}: prices must be > 0")
             if price < prev:
@@ -48,6 +50,10 @@ class FlashPool:
     fee_rate: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.available) and math.isfinite(self.fee_rate)):
+            raise InvalidParams(
+                f"{self.pool_id}: pool liquidity and fee must be finite"
+            )
         if self.available < 0 or self.fee_rate < 0:
             raise InvalidParams("pool liquidity and fee must be >= 0")
 
@@ -64,6 +70,16 @@ class AttackPlan:
     gas_cost: float  # quote currency
 
     def __post_init__(self):
+        amounts = (
+            self.tokens_needed,
+            self.seizable_collateral,
+            self.mintable_debt,
+            self.governance_token_price,
+            self.loan_currency_price,
+            self.gas_cost,
+        )
+        if not all(map(math.isfinite, amounts)):
+            raise InvalidParams("attack plan amounts and prices must be finite")
         if self.tokens_needed <= 0:
             raise InvalidParams("tokens_needed must be > 0")
         if self.governance_token_price <= 0 or self.loan_currency_price <= 0:

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import __version__, attack, contagion, marketdata, stress
 from .errors import InputError, NumericError, SchemaError, check_schema
-from .errors import as_int, as_list, as_pair, as_str
+from .errors import as_bool, as_int, as_list, as_pair, as_str
 from .manifest import write_json, write_manifest
 
 log = logging.getLogger("defi_stress")
@@ -142,7 +142,9 @@ def _contagion(raw: dict, args: argparse.Namespace) -> tuple:
             )
     scenarios = [
         contagion.DamageScenario(
-            s["label"], float(s["loss"]), bool(s.get("lower_bound", False))
+            s["label"],
+            float(s["loss"]),
+            as_bool(s.get("lower_bound", False), "lower_bound"),
         )
         for s in as_list(raw.get("damage_scenarios", []), "damage_scenarios")
     ]

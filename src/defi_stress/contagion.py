@@ -86,6 +86,13 @@ class CompositionModel:
             raise InvalidRange("lambda range must satisfy low <= high")
         if self.n_samples < 1:
             raise InvalidParams("need at least one sample")
+        # numpy cannot make an array of more bytes than np.intp can count,
+        # and each loss is an 8-byte float64.
+        if self.n_samples * self.n_protocols * 8 > np.iinfo(np.intp).max:
+            raise InvalidParams(
+                f"{self.n_samples} samples of {self.n_protocols} protocols "
+                "do not fit in one array"
+            )
 
 
 @dataclass(frozen=True)

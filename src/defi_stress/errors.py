@@ -112,6 +112,14 @@ def as_int(value, name: str) -> int:
     return int(value)
 
 
+def as_bool(value, name: str) -> bool:
+    """A config field that must be JSON true or false: a string such as
+    "false", or a number, is a SchemaError."""
+    if not isinstance(value, bool):
+        raise SchemaError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
 def as_str(value, name: str) -> str:
     """A config field that must be a JSON string, such as a name."""
     if not isinstance(value, str):

@@ -5,7 +5,10 @@ Every path draws from its own counter-based (Philox) stream keyed on
 (master seed, path index, asset index), so path k is bit-identical no
 matter how many paths are generated or how work is partitioned. One Philox
 generator per asset is reset to each path's key in turn, which yields the
-same stream as a fresh generator per path.
+same stream as a fresh generator per path. Each path is drawn into a
+contiguous row of a small path-major tile; the whole tile is then copied,
+transposed, into the day-major shock buffer in one assignment, so no draw
+writes to a strided column.
 
 Shocks and prices are stored day-major, (days, paths), so the liquidation
 engine's read of one day across all paths is contiguous. `correlated_chunks`
@@ -36,6 +39,10 @@ RESERVE = 1
 CHUNK_PATHS = 2048
 # Identifies the shock scheme above in run manifests.
 RNG_SCHEME = "philox-per-path/1"
+# Paths per contiguous path-major tile in `_increments`: 128 x 365 days is
+# 0.37 MB, small enough to stay in cache between the draws and the
+# transposed copy into the day-major buffer.
+_TILE_PATHS = 128
 
 
 @dataclass(frozen=True)
@@ -69,7 +76,8 @@ def _increments(
     Column j is the stream of path k = start + j, that of a fresh Philox
     keyed on (seed mod 2**64, k << 1 | asset_index). One bit generator is
     reset to each path's key and to the counter and buffer a fresh one
-    starts with.
+    starts with, and draws into one row of a (_TILE_PATHS, horizon_days)
+    tile; each tile of paths is then copied, transposed, into z.
     """
     key = np.array([seed % 2**64, 0], dtype=np.uint64)
     bit_generator = np.random.Philox(key=key)
@@ -77,10 +85,14 @@ def _increments(
     fresh = bit_generator.state
     path_key = fresh["state"]["key"]
     z = np.empty((horizon_days, n_paths)) if out is None else out
-    for j in range(n_paths):
-        path_key[1] = ((start + j) << 1) | asset_index
-        bit_generator.state = fresh
-        z[:, j] = generator.standard_normal(horizon_days)
+    tile = np.empty((min(_TILE_PATHS, n_paths), horizon_days))
+    for lo in range(0, n_paths, _TILE_PATHS):
+        rows = tile[: min(_TILE_PATHS, n_paths - lo)]
+        for k, row in enumerate(rows, start + lo):
+            path_key[1] = (k << 1) | asset_index
+            bit_generator.state = fresh
+            generator.standard_normal(out=row)
+        z[:, lo : lo + len(rows)] = rows.T
     return z
 
 
@@ -91,7 +103,9 @@ def _prices_from_shocks(
 
     z is day-major, (horizon, n_paths); so is the result, (horizon + 1,
     n_paths), built in one buffer: prices if given, else a new one. z may be
-    prices[1:] itself. A price that is not finite and > 0 (one that
+    prices[1:] itself. The running sum adds day t - 1 to day t over whole
+    rows, the additions of np.cumsum(axis=0) in the same order, so its bits
+    are those of cumsum. A price that is not finite and > 0 (one that
     underflowed to 0 or overflowed to inf, or NaN) raises NumericError,
     whatever the liquidation does with it.
     """
@@ -105,7 +119,8 @@ def _prices_from_shocks(
     with np.errstate(over="ignore"):
         np.multiply(params.sigma, z, out=log_steps)
         np.add(drift, log_steps, out=log_steps)
-        np.cumsum(log_steps, axis=0, out=log_steps)
+        for t in range(1, horizon):
+            np.add(log_steps[t - 1], log_steps[t], out=log_steps[t])
         np.exp(prices, out=prices)
         np.multiply(params.p0, prices, out=prices)
     # min() and max() are NaN if any price is.

@@ -546,6 +546,14 @@ def bundled(data_dir, fixture, at=(), value=None):
         ("contagion", MODEL, ("n_protocols",), True),
         # A venue that is not a string.
         ("sweep-cost", PLAN, ("books", 0, "venue"), 5),
+        # A sample array too large for numpy, a flag given as a string and
+        # plan numbers that are not finite.
+        ("contagion", MODEL, ("n_samples",), 4e18),
+        ("contagion", MODEL, ("damage_scenarios", 0, "lower_bound"), "false"),
+        ("attack", PLAN, ("mintable_debt",), "-inf"),
+        ("attack", PLAN, ("seizable_collateral",), "inf"),
+        ("attack", PLAN, ("flash_pools", 0, "fee_rate"), "nan"),
+        ("sweep-cost", PLAN, ("books", 0, "levels", 0, 1), "inf"),
     ],
 )
 def test_malformed_config_exits_2_before_writing(

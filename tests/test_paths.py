@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from defi_stress import paths
-from defi_stress.errors import InvalidParams
+from defi_stress.errors import InvalidParams, NumericError
 from defi_stress.paths import (
     COLLATERAL,
     RESERVE,
@@ -50,6 +51,57 @@ class TestIncrements:
         z = paths._increments(7, RESERVE, 30, 20, start=13)
         expected = philox_increments(7, RESERVE, 30, 33)[13:]
         assert z.T.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "start, n_paths",
+        [
+            (0, 3 * paths._TILE_PATHS),
+            (paths._TILE_PATHS + 3, 2 * paths._TILE_PATHS + 5),
+        ],
+        ids=["whole_tiles", "offset_partial_tile"],
+    )
+    def test_tiles_written_into_a_view_match_one_generator_per_path(
+        self, start, n_paths
+    ):
+        buffer = np.full((40, n_paths + 7), np.nan)
+        out = buffer[5:35, 2 : 2 + n_paths]
+        z = paths._increments(11, RESERVE, 30, n_paths, start, out)
+        assert z is out
+        expected = philox_increments(11, RESERVE, 30, start + n_paths)[start:]
+        assert z.T.tobytes() == expected.tobytes()
+        # Nothing outside the view was written.
+        out[:] = np.nan
+        assert np.isnan(buffer).all()
+
+
+def cumsum_prices(params: GbmParams, z: np.ndarray) -> np.ndarray:
+    """Day-major prices built with np.cumsum, the reference for the running
+    sum of `_prices_from_shocks`."""
+    drift = params.mu - params.sigma**2 / 2.0
+    log_prices = np.zeros((z.shape[0] + 1, z.shape[1]))
+    log_prices[1:] = np.cumsum(drift + params.sigma * z, axis=0)
+    return params.p0 * np.exp(log_prices)
+
+
+class TestPricesFromShocks:
+    @pytest.mark.parametrize("horizon", [1, 2, 365])
+    @pytest.mark.parametrize("width", [1, 63, 65, 2048])
+    def test_bit_equal_to_cumsum(self, horizon, width):
+        z = np.random.default_rng(horizon * width).standard_normal((horizon, width))
+        expected = cumsum_prices(ETH_FIT, z).tobytes()
+        assert paths._prices_from_shocks(ETH_FIT, z).tobytes() == expected
+        prices = np.empty((horizon + 1, width))
+        prices[1:] = z
+        paths._prices_from_shocks(ETH_FIT, prices[1:], prices)
+        assert prices.tobytes() == expected
+
+    @pytest.mark.parametrize("mu", [1e308, -1e308, 10.0])
+    def test_overflow_raises_without_warning(self, mu):
+        z = np.random.default_rng(0).standard_normal((365, 65))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="not finite and > 0"):
+                paths._prices_from_shocks(GbmParams(223.0, mu, 0.05), z)
 
 
 class TestSimulateGbm:
