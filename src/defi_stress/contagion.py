@@ -86,11 +86,12 @@ class CompositionModel:
             raise InvalidRange("lambda range must satisfy low <= high")
         if self.n_samples < 1:
             raise InvalidParams("need at least one sample")
-        # numpy cannot make an array of more bytes than np.intp can count,
-        # and each loss is an 8-byte float64.
-        if self.n_samples * self.n_protocols * 8 > np.iinfo(np.intp).max:
+        # numpy cannot make an array of more bytes than np.intp can count.
+        # The largest arrays drawn are the (n_samples,) loss vector and one
+        # block row of n_protocols multipliers, each of 8-byte float64s.
+        if max(self.n_samples, self.n_protocols) * 8 > np.iinfo(np.intp).max:
             raise InvalidParams(
-                f"{self.n_samples} samples of {self.n_protocols} protocols "
+                f"{self.n_samples} samples or {self.n_protocols} protocols "
                 "do not fit in one array"
             )
 
@@ -131,20 +132,37 @@ def sweepable_total(
     return min(holdings_cap, total)
 
 
+# Multipliers drawn at once in `max_systemic_loss`: 2**17 float64s is 1 MB,
+# so its working memory is the loss vector and one block, whatever the
+# number of samples and protocols.
+_BLOCK_ELEMENTS = 2**17
+
+
 def max_systemic_loss(model: CompositionModel) -> LossDistribution:
     """Monte Carlo distribution of the maximum systemic loss.
 
     Each sample draws an i.i.d. multiplier lambda_pi per protocol and sums
     (D/N) / lambda_pi over the N protocols. Deterministic given the seed.
     A loss or mean that overflows raises FloatingPointError.
+
+    The multipliers are drawn from one generator in blocks of whole samples
+    (rows), as many as fit in _BLOCK_ELEMENTS and at least one, so the
+    stream, each sample's sum and the mean over all samples are those of
+    one (n_samples, n_protocols) draw.
     """
     low, high = model.lambda_range
     rng = np.random.Generator(np.random.Philox(key=model.seed % 2**64))
-    lams = rng.uniform(low, high, size=(model.n_samples, model.n_protocols))
     per_protocol = model.total_debt / model.n_protocols
+    rows = max(1, _BLOCK_ELEMENTS // model.n_protocols)
+    losses = np.empty(model.n_samples)
     with np.errstate(over="raise", invalid="raise"):
-        # In place: one (n_samples, n_protocols) array instead of two.
-        losses = np.divide(per_protocol, lams, out=lams).sum(axis=1)
+        for start in range(0, model.n_samples, rows):
+            stop = min(start + rows, model.n_samples)
+            lams = rng.uniform(low, high, size=(stop - start, model.n_protocols))
+            np.divide(per_protocol, lams, out=lams)
+            lams.sum(axis=1, out=losses[start:stop])
+            # Freed before the next block is drawn.
+            del lams
         mean = float(losses.mean())
     return LossDistribution(
         samples=losses,

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from importlib.resources import files
 from pathlib import Path
 
@@ -30,3 +31,25 @@ def attack_plan_raw(data_dir) -> dict:
 @pytest.fixture(scope="session")
 def dai_snapshot_csv(data_dir) -> Path:
     return data_dir / "dai_markets.csv"
+
+
+@pytest.fixture
+def traced_peak():
+    """peak(fn) calls fn() and returns (bytes, fn's result): the peak of the
+    memory tracemalloc traced during the call, numpy's data buffers
+    included, above what was traced before it."""
+
+    def peak(fn):
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            result = fn()
+            return tracemalloc.get_traced_memory()[1] - before, result
+        finally:
+            if started:
+                tracemalloc.stop()
+
+    return peak

@@ -8,6 +8,9 @@
 - `select_worst_path`: worst-path selection over a whole ensemble's
   liquidation results at once, the oracle for the chunk-by-chunk fold of
   `defi_stress.stress`.
+- `whole_array_systemic_loss`: the contagion loss drawn as one
+  (n_samples, n_protocols) array, the oracle for the block-by-block draw of
+  `defi_stress.contagion.max_systemic_loss`.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
+from defi_stress.contagion import CompositionModel, LossDistribution
 from defi_stress.errors import HorizonMismatch
 from defi_stress.protocol import (
     _DEBT_EPS,
@@ -108,3 +112,26 @@ def select_worst_path(
         idx = int(np.argmin(days))
         return idx, int(first_neg[idx])
     return int(np.argmin(terminal)), None
+
+
+def whole_array_systemic_loss(model: CompositionModel) -> LossDistribution:
+    """Monte Carlo distribution of the maximum systemic loss.
+
+    Each sample draws an i.i.d. multiplier lambda_pi per protocol and sums
+    (D/N) / lambda_pi over the N protocols. Deterministic given the seed.
+    A loss or mean that overflows raises FloatingPointError.
+    """
+    low, high = model.lambda_range
+    rng = np.random.Generator(np.random.Philox(key=model.seed % 2**64))
+    lams = rng.uniform(low, high, size=(model.n_samples, model.n_protocols))
+    per_protocol = model.total_debt / model.n_protocols
+    with np.errstate(over="raise", invalid="raise"):
+        # In place: one (n_samples, n_protocols) array instead of two.
+        losses = np.divide(per_protocol, lams, out=lams).sum(axis=1)
+        mean = float(losses.mean())
+    return LossDistribution(
+        samples=losses,
+        mean=mean,
+        min=float(losses.min()),
+        max=float(losses.max()),
+    )

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from defi_stress import contagion
 from defi_stress.contagion import (
     CompositionModel,
     DamageScenario,
@@ -17,6 +18,9 @@ from defi_stress.contagion import (
     LossDistribution,
 )
 from defi_stress.errors import InvalidParams, InvalidRange, ParseError
+from oracle import whole_array_systemic_loss
+
+MB = 2**20
 
 
 def uniform_inverse_mean(low, high):
@@ -110,6 +114,70 @@ class TestMaxSystemicLoss:
     def test_non_finite_rejected(self, debt, lambda_range):
         with pytest.raises(InvalidParams):
             CompositionModel(5, debt, lambda_range, seed=0, n_samples=10)
+
+    @pytest.mark.parametrize("n_protocols", [1, 30, 65])
+    @pytest.mark.parametrize("samples", ["one", "rows-1", "rows", "rows+1", "100k"])
+    def test_blocks_equal_the_whole_array_draw(
+        self, monkeypatch, n_protocols, samples
+    ):
+        # 64 elements a block: 64 rows of 1 protocol, 2 rows of 30, and
+        # 1 row of 65 protocols, more than one block's elements.
+        monkeypatch.setattr(contagion, "_BLOCK_ELEMENTS", 64)
+        rows = max(1, 64 // n_protocols)
+        n_samples = {
+            "one": 1,
+            "rows-1": max(1, rows - 1),
+            "rows": rows,
+            "rows+1": rows + 1,
+            "100k": 100_000,
+        }[samples]
+        model = CompositionModel(
+            n_protocols, 400e6, (1.01, 1.5), seed=7, n_samples=n_samples
+        )
+        self.assert_equal_to_whole_array(model)
+
+    def test_bundled_model_equals_the_whole_array_draw(self):
+        model = CompositionModel(30, 400e6, (1.01, 3.0), seed=7, n_samples=100_000)
+        self.assert_equal_to_whole_array(model)
+
+    @staticmethod
+    def assert_equal_to_whole_array(model):
+        blocked = max_systemic_loss(model)
+        whole = whole_array_systemic_loss(model)
+        assert blocked.samples.tobytes() == whole.samples.tobytes()
+        assert (blocked.mean, blocked.min, blocked.max) == (
+            whole.mean,
+            whole.min,
+            whole.max,
+        )
+
+    def test_memory_is_the_loss_vector_and_one_block(self, traced_peak):
+        # The bundled model's 100k x 30 multipliers are 24 MB; drawn in
+        # blocks, the peak is the 0.8 MB loss vector and about 1 MB more,
+        # and ten times as many protocols do not raise it. A first call
+        # makes numpy's one-time allocations outside the measured calls.
+        max_systemic_loss(CompositionModel(1, 1.0, (1.1, 1.5), seed=0, n_samples=1))
+        peaks = []
+        for n_protocols in (30, 300):
+            model = CompositionModel(
+                n_protocols, 400e6, (1.01, 1.5), seed=7, n_samples=100_000
+            )
+            peak, _ = traced_peak(lambda: max_systemic_loss(model))
+            assert peak < 100_000 * 8 + 2 * MB
+            peaks.append(peak)
+        assert peaks[1] < 1.1 * peaks[0]
+
+    def test_size_rule_checks_the_largest_array_drawn(self):
+        limit = np.iinfo(np.intp).max // 8
+        # n_samples x n_protocols losses beyond numpy's limit are no
+        # longer one array.
+        CompositionModel(limit // 4, 1e8, (1.1, 1.5), seed=0, n_samples=8)
+        CompositionModel(8, 1e8, (1.1, 1.5), seed=0, n_samples=limit // 4)
+        for n_protocols, n_samples in ((limit + 1, 1), (1, limit + 1)):
+            with pytest.raises(InvalidParams, match="do not fit in one array"):
+                CompositionModel(
+                    n_protocols, 1e8, (1.1, 1.5), seed=0, n_samples=n_samples
+                )
 
 
 FEB2020_ROWS = [

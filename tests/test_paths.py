@@ -104,6 +104,55 @@ class TestPricesFromShocks:
                 paths._prices_from_shocks(GbmParams(223.0, mu, 0.05), z)
 
 
+def full_temporary_prices(collateral, reserve, rhos, horizon, n_paths, seed, start):
+    """Day-major collateral and reserve prices of paths start ..
+    start + n_paths - 1, each reserve shock formed from whole-chunk
+    temporaries, rho * z_col + sqrt(1 - rho^2) * z_ind: the reference for
+    the day blocks of `_correlated_prices`."""
+    z_col = philox_increments(seed, COLLATERAL, horizon, start + n_paths)[start:].T
+    z_ind = philox_increments(seed, RESERVE, horizon, start + n_paths)[start:].T
+    reserve_prices = [
+        paths._prices_from_shocks(
+            reserve, rho * z_col + np.sqrt(1.0 - rho**2) * z_ind
+        )
+        for rho in rhos
+    ]
+    return paths._prices_from_shocks(collateral, z_col), np.stack(reserve_prices)
+
+
+class TestCorrelatedPrices:
+    RESERVE_FIT = GbmParams(223.0, 0.001592, 0.050581 / 2)
+
+    @pytest.mark.parametrize(
+        "horizon",
+        [1, paths._SHOCK_DAYS - 1, paths._SHOCK_DAYS, paths._SHOCK_DAYS + 1, 365],
+    )
+    def test_day_blocks_equal_full_temporaries(self, horizon):
+        rhos = (-1.0, -0.9, 0.0, 0.5, 1.0)
+        col, res = paths._correlated_prices(
+            ETH_FIT, self.RESERVE_FIT, rhos, horizon, 37, 2**64 + 5, 5
+        )
+        ref_col, ref_res = full_temporary_prices(
+            ETH_FIT, self.RESERVE_FIT, rhos, horizon, 37, 2**64 + 5, 5
+        )
+        assert col.tobytes() == ref_col.tobytes()
+        assert res.tobytes() == ref_res.tobytes()
+
+    @pytest.mark.parametrize("rhos", [(-0.4,), (-0.9, 0.1, 0.9)])
+    def test_memory_is_the_prices_and_one_shock_array(self, traced_peak, rhos):
+        # One chunk holds its collateral prices, its reserve prices per rho
+        # and the independent shocks; the scaled shocks take one day block.
+        paths._correlated_prices(ETH_FIT, self.RESERVE_FIT, rhos, 2, 2, 0, 0)
+        horizon, n_paths = 365, paths.CHUNK_PATHS
+        peak, _ = traced_peak(
+            lambda: paths._correlated_prices(
+                ETH_FIT, self.RESERVE_FIT, rhos, horizon, n_paths, 3, 0
+            )
+        )
+        price_array = (horizon + 1) * n_paths * 8
+        assert peak < (2 + len(rhos)) * price_array + 2**20
+
+
 class TestSimulateGbm:
     def test_zero_vol_zero_drift_constant(self):
         paths = simulate_gbm(GbmParams(223, 0, 0), 10, 5, seed=0)
