@@ -46,10 +46,6 @@ class InvalidParams(InputError):
     pass
 
 
-class MissingPrice(InputError):
-    pass
-
-
 class HorizonMismatch(InputError):
     pass
 

@@ -1,10 +1,7 @@
-"""Lending-protocol model: margin equations, liquidity decay and the
-daily liquidation engine.
+"""Lending-protocol model: liquidity decay and the daily liquidation engine.
 
 The margin used inside liquidation scenarios is the plain buffer
-collateral value + reserve value - debt (no overcollateralization factor);
-`margin_basic` / `margin_with_reserve` expose the (1 + lambda) form for the
-constraint checks.
+collateral value + reserve value - debt (no overcollateralization factor).
 """
 
 from __future__ import annotations
@@ -14,43 +11,14 @@ import functools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import HorizonMismatch, InvalidParams, MissingPrice, NumericError
+from .errors import HorizonMismatch, InvalidParams, NumericError
 
 # Relative tolerance for treating residual debt as fully discharged.
 _DEBT_EPS = 1e-9
-
-
-@dataclass(frozen=True)
-class CollateralPosition:
-    asset_id: str
-    quantity: float
-    lam: float = 0.0
-
-    def __post_init__(self):
-        if self.quantity < 0:
-            raise InvalidParams("collateral quantity must be >= 0")
-        if self.lam < 0:
-            raise InvalidParams("overcollateralization factor must be >= 0")
-
-
-@dataclass(frozen=True)
-class ProtocolState:
-    positions: tuple[CollateralPosition, ...]
-    reserve_quantity: float
-    debt: float
-
-    def __post_init__(self):
-        if self.debt < 0:
-            raise InvalidParams("debt must be >= 0")
-        if self.reserve_quantity < 0:
-            raise InvalidParams("reserve quantity must be >= 0")
-
-    def total_collateral_units(self) -> float:
-        return sum(p.quantity for p in self.positions)
 
 
 @dataclass(frozen=True)
@@ -65,17 +33,6 @@ class LiquidityModel:
             raise InvalidParams("liquidity parameters must be finite")
         if self.l0 < 0 or self.rho < 0:
             raise InvalidParams("liquidity parameters must be >= 0")
-
-
-@dataclass(frozen=True)
-class CounterpartyParams:
-    r_d: float
-    psi: float
-    r_f: float
-
-    def __post_init__(self):
-        if self.psi < 0:
-            raise InvalidParams("risk premium must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -156,50 +113,9 @@ class LiquidationTrace:
             writer.writerows(zip(*self._columns()))
 
 
-def margin_basic(state: ProtocolState, prices: Mapping[str, float]) -> float:
-    """Overcollateralization margin: sum (1 + lambda_i) * P_i * Q_i - debt."""
-    total = 0.0
-    for pos in state.positions:
-        price = prices.get(pos.asset_id)
-        if price is None:
-            raise MissingPrice(f"no price for asset {pos.asset_id!r}")
-        if price <= 0:
-            raise InvalidParams(f"price for {pos.asset_id!r} must be > 0")
-        total += (1.0 + pos.lam) * price * pos.quantity
-    return total - state.debt
-
-
-def margin_with_reserve(
-    state: ProtocolState, prices: Mapping[str, float], reserve_price: float
-) -> float:
-    """margin_basic plus the reserve pool valued at reserve_price."""
-    if reserve_price <= 0:
-        raise InvalidParams("reserve price must be > 0")
-    return margin_basic(state, prices) + reserve_price * state.reserve_quantity
-
-
 def liquidity_at(model: LiquidityModel, t: float) -> float:
     """Sellable units on day t: l0 * exp(-rho * t)."""
     return model.l0 * math.exp(-model.rho * t)
-
-
-def liquidity_constraint_satisfied(
-    traded_notionals: Sequence[float], omega_max: float
-) -> bool:
-    """True iff cumulative traded notional over the horizon <= omega_max."""
-    return math.fsum(traded_notionals) <= omega_max
-
-
-def participation_ok(p: CounterpartyParams) -> bool:
-    """Strict participation constraint r_d - psi > r_f.
-
-    Values within 1e-12 relative of the boundary count as equal, so binary
-    rounding noise (e.g. 0.05 - 0.02 vs 0.03) cannot flip the strict check.
-    """
-    excess = p.r_d - p.psi
-    if math.isclose(excess, p.r_f, rel_tol=1e-12, abs_tol=1e-15):
-        return False
-    return excess > p.r_f
 
 
 def _liquidate(
@@ -326,14 +242,34 @@ def _caps(liquidity: tuple[LiquidityModel, ...], n_days: int) -> np.ndarray:
     return table
 
 
+def _cell_rows(
+    setups: Sequence[LiquidationSetup], collateral_prices: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
+    """`_liquidate`'s (debt0, coll0, reserve, caps): one row per setup over
+    the days of the day-major collateral_prices, each position opened at
+    the first path's day-0 price. The setups must share one reserve
+    quantity."""
+    reserve = {s.reserve_quantity for s in setups}
+    if len(reserve) != 1:
+        raise InvalidParams("setups must share one reserve quantity")
+    p0 = float(collateral_prices[0, 0])
+    return (
+        np.array([[float(s.debt)] for s in setups]),
+        np.array([[s.initial_collateral_units(p0)] for s in setups]),
+        reserve.pop(),
+        _caps(tuple(s.liquidity for s in setups), len(collateral_prices)),
+    )
+
+
 def run_liquidation(
-    initial: ProtocolState,
+    setup: LiquidationSetup,
     collateral_path: Sequence[float],
     reserve_path: Sequence[float],
-    liquidity: LiquidityModel,
 ) -> LiquidationTrace:
     """Sell collateral day by day against one simulated price path and
-    record every day until the debt is discharged or the path ends."""
+    record every day until the debt is discharged or the path ends. The
+    position opens at the path's first price; one that is not > 0 is
+    InvalidParams."""
     trace = LiquidationTrace()
     days, *columns = trace._columns()
 
@@ -346,10 +282,7 @@ def run_liquidation(
 
     collateral_prices = np.asarray(collateral_path, dtype=float).reshape(-1, 1)
     _liquidate(
-        np.array([[float(initial.debt)]]),
-        np.array([[float(initial.total_collateral_units())]]),
-        initial.reserve_quantity,
-        _caps((liquidity,), len(collateral_prices)),
+        *_cell_rows([setup], collateral_prices),
         collateral_prices,
         np.asarray(reserve_path, dtype=float).reshape(1, -1, 1),
         record,
@@ -376,10 +309,6 @@ def liquidate_cells(
     flat indices into the result block; the day's events and terminal
     margins are scattered through those indices.
     """
-    reserve = {s.reserve_quantity for s in setups}
-    if len(reserve) != 1:
-        raise InvalidParams("setups must share one reserve quantity")
-    p0 = float(collateral_prices[0, 0])
     shape = (len(reserve_prices), len(setups), collateral_prices.shape[1])
     last_day = len(collateral_prices) - 1
     first_neg = np.full(shape, -1, dtype=np.int64)
@@ -399,10 +328,7 @@ def liquidate_cells(
         terminal_flat[entries[last]] = margin[last]
 
     _liquidate(
-        np.array([[float(s.debt)] for s in setups]),
-        np.array([[s.initial_collateral_units(p0)] for s in setups]),
-        reserve.pop(),
-        _caps(tuple(s.liquidity for s in setups), len(collateral_prices)),
+        *_cell_rows(setups, collateral_prices),
         collateral_prices,
         reserve_prices,
         record,

@@ -25,11 +25,9 @@ from .manifest import write_json
 from .paths import GbmParams, correlated_chunks, correlated_path
 from .paths import _check_rho, _check_size
 from .protocol import (
-    CollateralPosition,
     LiquidationSetup,
     LiquidationTrace,
     LiquidityModel,
-    ProtocolState,
     liquidate_cells,
     run_liquidation,
 )
@@ -204,7 +202,6 @@ def _reports(config: ScenarioConfig, rhos: Sequence[float]) -> list[StressReport
     every cell, from one pass over the chunks of the ensemble."""
     setups = config.setups()
     worst = _worst_paths(config, rhos)
-    p0 = config.collateral_params.p0
     reports = []
     for group, rho in enumerate(rhos):
         cells = []
@@ -218,18 +215,7 @@ def _reports(config: ScenarioConfig, rhos: Sequence[float]) -> list[StressReport
                 config.seed,
                 idx,
             )
-            state = ProtocolState(
-                positions=(
-                    CollateralPosition(
-                        "collateral", setup.initial_collateral_units(p0)
-                    ),
-                ),
-                reserve_quantity=setup.reserve_quantity,
-                debt=setup.debt,
-            )
-            trace = run_liquidation(
-                state, collateral_path, reserve_path, setup.liquidity
-            )
+            trace = run_liquidation(setup, collateral_path, reserve_path)
             cells.append(
                 CellResult(
                     debt=setup.debt,

@@ -3,6 +3,8 @@
 - `scalar_liquidation`: the daily liquidation rule as one Python loop over
   the days of one price path, the oracle for `defi_stress.protocol`'s
   vectorised engine, field for field.
+- `margin`: the overcollateralisation margin (1 + lambda) P Q + R q - D of
+  one position, the oracle for the margin column of a liquidation trace.
 - `philox_increments`: daily shocks from a freshly built Philox generator
   per path, the oracle for the reused generator of `defi_stress.paths`.
 - `select_worst_path`: worst-path selection over a whole ensemble's
@@ -23,40 +25,57 @@ from defi_stress.contagion import CompositionModel, LossDistribution
 from defi_stress.errors import HorizonMismatch
 from defi_stress.protocol import (
     _DEBT_EPS,
+    LiquidationSetup,
     LiquidationTrace,
-    LiquidityModel,
-    ProtocolState,
     liquidity_at,
 )
 
 
+def margin(
+    units: float,
+    price: float,
+    reserve_units: float,
+    reserve_price: float,
+    debt: float,
+    lam: float = 0.0,
+) -> float:
+    """(1 + lam) * price * units + reserve_price * reserve_units - debt,
+    with the debt taken off before the reserve is added."""
+    return (1.0 + lam) * price * units - debt + reserve_price * reserve_units
+
+
 def scalar_liquidation(
-    initial: ProtocolState,
+    setup: LiquidationSetup,
     collateral_path: Sequence[float],
     reserve_path: Sequence[float],
-    liquidity: LiquidityModel,
+    p0: float | None = None,
 ) -> LiquidationTrace:
     """Sell collateral day by day against one simulated price path.
 
-    Each day t the protocol sells u_t = min(L(t), collateral left,
-    debt left / price); proceeds retire debt one-for-one at the day's price
-    (no price impact). The recorded margin is the plain post-sale buffer
-    collateral + reserve - debt. Stops once the debt is discharged.
+    The position opens with setup's debt, its reserve units and
+    setup.initial_collateral_units(p0) collateral units; p0 defaults to the
+    path's first price. Each day t the protocol sells u_t = min(L(t),
+    collateral left, debt left / price); proceeds retire debt one-for-one
+    at the day's price (no price impact). The recorded margin is the plain
+    post-sale buffer collateral + reserve - debt. Stops once the debt is
+    discharged.
     """
     if len(collateral_path) != len(reserve_path):
         raise HorizonMismatch(
             f"collateral path has {len(collateral_path)} days, "
             f"reserve path {len(reserve_path)}"
         )
-    debt0 = initial.debt
+    if p0 is None:
+        p0 = float(collateral_path[0])
+    debt0 = setup.debt
     debt = debt0
-    coll = initial.total_collateral_units()
-    reserve = initial.reserve_quantity
+    coll = setup.initial_collateral_units(p0)
+    reserve = setup.reserve_quantity
     trace = LiquidationTrace()
     for t in range(len(collateral_path)):
         p_col = float(collateral_path[t])
         p_res = float(reserve_path[t])
-        cap = liquidity_at(liquidity, t)
+        cap = liquidity_at(setup.liquidity, t)
         u = min(cap, coll, debt / p_col)
         proceeds = u * p_col
         debt = max(debt - proceeds, 0.0)

@@ -5,69 +5,54 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from defi_stress.errors import HorizonMismatch, InvalidParams, MissingPrice
+from defi_stress.errors import HorizonMismatch, InvalidParams
 from defi_stress.paths import GbmParams, correlated_chunks
 from defi_stress.protocol import (
-    CollateralPosition,
-    CounterpartyParams,
     LiquidationSetup,
     LiquidationTrace,
     LiquidityModel,
-    ProtocolState,
+    _cell_rows,
     _caps,
     _liquidate,
     liquidate_cells,
     liquidity_at,
-    liquidity_constraint_satisfied,
-    margin_basic,
-    margin_with_reserve,
-    participation_ok,
     run_liquidation,
 )
-from oracle import scalar_liquidation
+from oracle import margin, scalar_liquidation
 
 
-def single_asset_state(quantity, debt, lam=0.0, reserve=0.0):
-    return ProtocolState(
-        positions=(CollateralPosition("eth", quantity, lam),),
-        reserve_quantity=reserve,
-        debt=debt,
-    )
+def holding(units, debt, liquidity, p0, reserve=0.0):
+    """A setup whose position opens with `units` collateral units at price
+    p0."""
+    return LiquidationSetup(debt, liquidity, reserve, units * p0 / debt)
 
 
 class TestMargins:
+    """Self-tests of the margin oracle: margin(units, price, reserve units,
+    reserve price, debt, lam)."""
+
     def test_no_debt(self):
-        state = single_asset_state(1.0, 0.0)
-        assert margin_basic(state, {"eth": 150.0}) == 150.0
+        assert margin(1.0, 150.0, 0.0, 0.0, 0.0) == 150.0
 
     def test_plain_buffer(self):
-        state = single_asset_state(1.0, 100.0)
-        assert margin_basic(state, {"eth": 150.0}) == 50.0
+        assert margin(1.0, 150.0, 0.0, 0.0, 100.0) == 50.0
 
     def test_lambda_scales_collateral_side(self):
-        state = single_asset_state(1.0, 100.0, lam=0.5)
-        assert margin_basic(state, {"eth": 150.0}) == pytest.approx(125.0)
-
-    def test_missing_price(self):
-        with pytest.raises(MissingPrice):
-            margin_basic(single_asset_state(1.0, 0.0), {"btc": 1.0})
+        assert margin(1.0, 150.0, 0.0, 0.0, 100.0, lam=0.5) == pytest.approx(125.0)
 
     def test_reserve_zero_equals_basic(self):
-        state = single_asset_state(2.0, 100.0)
-        assert margin_with_reserve(state, {"eth": 75.0}, 223.0) == margin_basic(
-            state, {"eth": 75.0}
+        assert margin(2.0, 75.0, 0.0, 223.0, 100.0) == margin(
+            2.0, 75.0, 0.0, 0.0, 100.0
         )
 
     def test_initial_scenario_margin(self):
         # 600m collateral, 1m reserve units at 223, 400m debt
-        state = single_asset_state(600e6 / 223.0, 400e6, reserve=1e6)
-        margin = margin_with_reserve(state, {"eth": 223.0}, 223.0)
-        assert margin == pytest.approx(600e6 + 223e6 - 400e6, rel=1e-12)
+        value = margin(600e6 / 223.0, 223.0, 1e6, 223.0, 400e6)
+        assert value == pytest.approx(600e6 + 223e6 - 400e6, rel=1e-12)
 
     def test_vanishing_prices_leave_minus_debt(self):
-        state = single_asset_state(1e6, 400e6, reserve=1e6)
-        margin = margin_with_reserve(state, {"eth": 1e-12}, 1e-12)
-        assert margin == pytest.approx(-400e6, rel=1e-9)
+        value = margin(1e6, 1e-12, 1e6, 1e-12, 400e6)
+        assert value == pytest.approx(-400e6, rel=1e-9)
 
     @given(
         price=st.floats(min_value=1e-3, max_value=1e6),
@@ -76,8 +61,7 @@ class TestMargins:
         debt=st.floats(min_value=0, max_value=1e12),
     )
     def test_sign_property(self, price, qty, lam, debt):
-        state = single_asset_state(qty, debt, lam=lam)
-        m = margin_basic(state, {"eth": price})
+        m = margin(qty, price, 0.0, 0.0, debt, lam)
         assert (m >= 0) == (debt <= (1 + lam) * price * qty)
 
 
@@ -95,45 +79,37 @@ class TestLiquidityAndConstraints:
             30_000 / math.e
         )
 
-    def test_liquidity_constraint(self):
-        assert liquidity_constraint_satisfied([], 0.0)
-        assert not liquidity_constraint_satisfied([10, 10, 10], 25)
-        assert liquidity_constraint_satisfied([10, 10], 20)  # boundary inclusive
-
-    def test_participation(self):
-        assert participation_ok(CounterpartyParams(0.05, 0.01, 0.03))
-        assert not participation_ok(CounterpartyParams(0.05, 0.02, 0.03))
-        assert not participation_ok(CounterpartyParams(0.05, 0.00, 0.05))
-
 
 class TestRunLiquidation:
     def test_zero_debt_single_day(self):
-        state = single_asset_state(2.0, 0.0, reserve=1.0)
-        trace = run_liquidation(state, [100.0] * 5, [50.0] * 5, LiquidityModel(10))
+        setup = LiquidationSetup(0.0, LiquidityModel(10), 1.0)
+        trace = run_liquidation(setup, [100.0] * 5, [50.0] * 5)
         assert len(trace) == 1
-        assert trace.margins[0] == pytest.approx(250.0)
+        assert trace.margins[0] == pytest.approx(50.0)
         assert trace.first_negative_day is None
 
     def test_instant_discharge(self):
-        state = single_asset_state(750_000.0, 100e6)
-        trace = run_liquidation(
-            state, [200.0] * 10, [200.0] * 10, LiquidityModel(1e9)
-        )
+        setup = holding(750_000.0, 100e6, LiquidityModel(1e9), 200.0)
+        trace = run_liquidation(setup, [200.0] * 10, [200.0] * 10)
         assert trace.units_sold[0] == pytest.approx(500_000.0)
         assert trace.debt_remaining[-1] == 0.0
         assert len(trace) == 1
 
     def test_horizon_mismatch(self):
         with pytest.raises(HorizonMismatch):
-            run_liquidation(
-                single_asset_state(1, 1), [1.0, 1.0], [1.0], LiquidityModel(1)
-            )
+            run_liquidation(holding(1, 1, LiquidityModel(1), 1.0), [1.0, 1.0], [1.0])
+
+    @pytest.mark.parametrize("p0", [0.0, -1.0])
+    def test_first_price_must_be_positive(self, p0):
+        setup = LiquidationSetup(1e8, LiquidityModel(30_000), 1e6)
+        with pytest.raises(InvalidParams):
+            run_liquidation(setup, [p0, 100.0], [100.0, 100.0])
 
     def test_conservation(self):
         rng = np.random.default_rng(0)
         path = 200 * np.exp(np.cumsum(rng.normal(0, 0.05, 60)))
-        state = single_asset_state(3e6, 4e8, reserve=1e6)
-        trace = run_liquidation(state, path, path, LiquidityModel(30_000, 0.01))
+        setup = holding(3e6, 4e8, LiquidityModel(30_000, 0.01), path[0], 1e6)
+        trace = run_liquidation(setup, path, path)
         for t in range(len(trace)):
             assert trace.debt_remaining[t] == pytest.approx(
                 4e8 - math.fsum(trace.proceeds[: t + 1]), abs=1e-9 * 4e8
@@ -143,8 +119,7 @@ class TestRunLiquidation:
         rng = np.random.default_rng(3)
         path = 150 * np.exp(np.cumsum(rng.normal(-0.01, 0.06, 80)))
         model = LiquidityModel(25_000, 0.02)
-        state = single_asset_state(4e6, 5e8, reserve=5e5)
-        trace = run_liquidation(state, path, path, model)
+        trace = run_liquidation(holding(4e6, 5e8, model, path[0], 5e5), path, path)
         for t in range(len(trace)):
             assert trace.units_sold[t] <= liquidity_at(model, t) + 1e-12
         assert all(np.diff(trace.debt_remaining) <= 0)
@@ -153,10 +128,12 @@ class TestRunLiquidation:
     def test_more_decay_never_reduces_residual_debt(self):
         rng = np.random.default_rng(5)
         path = 180 * np.exp(np.cumsum(rng.normal(-0.02, 0.05, 100)))
-        state = single_asset_state(3.5e6, 4e8, reserve=1e6)
         residuals = []
         for rho in (0.0, 0.005, 0.01, 0.05):
-            trace = run_liquidation(state, path, path, LiquidityModel(30_000, rho))
+            model = LiquidityModel(30_000, rho)
+            trace = run_liquidation(
+                holding(3.5e6, 4e8, model, path[0], 1e6), path, path
+            )
             residuals.append(trace.debt_remaining[-1])
         assert residuals == sorted(residuals)
 
@@ -165,11 +142,12 @@ class TestRunLiquidation:
         path = 223 * np.exp(np.cumsum(rng.normal(-0.03, 0.05, 100)))
         days = []
         for debt in (2e8, 3e8, 4e8):
-            setup = LiquidationSetup(debt, LiquidityModel(30_000, 0.01), 1e6)
-            state = single_asset_state(
-                setup.initial_collateral_units(223.0), debt, reserve=1e6
+            # 150 % of the debt at 223, whatever the path's first price.
+            units = debt * 1.5 / 223.0
+            model = LiquidityModel(30_000, 0.01)
+            trace = run_liquidation(
+                holding(units, debt, model, path[0], 1e6), path, path
             )
-            trace = run_liquidation(state, path, path, setup.liquidity)
             days.append(
                 trace.first_negative_day
                 if trace.first_negative_day is not None
@@ -179,8 +157,8 @@ class TestRunLiquidation:
 
     def test_ample_constant_liquidity_discharges_day_zero(self):
         path = [120.0, 80.0, 40.0]
-        state = single_asset_state(2e6, 1e8)
-        trace = run_liquidation(state, path, path, LiquidityModel(1e7, 0.0))
+        setup = holding(2e6, 1e8, LiquidityModel(1e7, 0.0), path[0])
+        trace = run_liquidation(setup, path, path)
         assert trace.debt_remaining[0] == 0.0
         assert trace.first_negative_day is None
 
@@ -196,11 +174,8 @@ class TestLiquidateEnsemble:
         )
         setup = LiquidationSetup(4e8, LiquidityModel(30_000, 0.01), 1e6)
         first_neg, terminal = liquidate_cells([setup], collateral, reserve)
-        state = single_asset_state(
-            setup.initial_collateral_units(223.0), 4e8, reserve=1e6
-        )
         for k in range(200):
-            args = (state, collateral[:, k], reserve[0, :, k], setup.liquidity)
+            args = (setup, collateral[:, k], reserve[0, :, k])
             expected = scalar_liquidation(*args)
             expected_day = (
                 -1
@@ -239,13 +214,7 @@ class TestLiquidationBlock:
         return collateral, reserve
 
     def oracle(self, collateral, reserve, g, r, k):
-        setup = self.setups[r]
-        state = single_asset_state(
-            setup.initial_collateral_units(223.0), setup.debt, reserve=1e6
-        )
-        return scalar_liquidation(
-            state, collateral[:, k], reserve[g, :, k], setup.liquidity
-        )
+        return scalar_liquidation(self.setups[r], collateral[:, k], reserve[g, :, k])
 
     def test_every_row_matches_scalar_engine(self):
         collateral, reserve = self.prices()
@@ -262,15 +231,7 @@ class TestLiquidationBlock:
                 if trace.margins[-1] < 0 and trace.first_negative_day is None:
                     trace.first_negative_day = t
 
-        _liquidate(
-            np.array([[s.debt] for s in self.setups]),
-            np.array([[s.initial_collateral_units(223.0)] for s in self.setups]),
-            1e6,
-            _caps(tuple(s.liquidity for s in self.setups), 61),
-            collateral,
-            reserve,
-            record,
-        )
+        _liquidate(*_cell_rows(self.setups, collateral), collateral, reserve, record)
         assert len(traces) == 2 * 3 * 40
         for (g, r, k), trace in traces.items():
             # Same arithmetic in the same order: every field matches exactly.
@@ -349,14 +310,11 @@ class TestLiquidationBlock:
             )
         )
         first_neg, terminal = liquidate_cells(setups, collateral, reserve)
+        # liquidate_cells opens every position at the first path's day-0 price.
         p0 = collateral[0, 0]
         for (g, r, k), day in np.ndenumerate(first_neg):
-            setup = setups[r]
-            state = single_asset_state(
-                setup.initial_collateral_units(p0), setup.debt, reserve=1e3
-            )
             expected = scalar_liquidation(
-                state, collateral[:, k], reserve[g, :, k], setup.liquidity
+                setups[r], collateral[:, k], reserve[g, :, k], p0=p0
             )
             expected_day = expected.first_negative_day
             assert day == (-1 if expected_day is None else expected_day)
@@ -370,8 +328,6 @@ class TestLiquidationBlock:
 
 
 def test_invalid_types():
-    with pytest.raises(InvalidParams):
-        CollateralPosition("eth", -1.0)
     with pytest.raises(InvalidParams):
         LiquidityModel(-1.0)
     with pytest.raises(InvalidParams):
@@ -389,7 +345,14 @@ def test_liquidation_setup_rejects_non_finite(args):
     debt, reserve, ratio = args
     with pytest.raises(InvalidParams):
         LiquidationSetup(debt, LiquidityModel(30_000), reserve, ratio)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [(-1.0, 1e6, 1.5), (1e8, -1.0, 1.5), (1e8, 1e6, 0.0), (1e8, 1e6, -1.5)],
+    ids=["debt", "reserve_quantity", "zero_ratio", "negative_ratio"],
+)
+def test_liquidation_setup_rejects_out_of_range(args):
+    debt, reserve, ratio = args
     with pytest.raises(InvalidParams):
-        ProtocolState((), 0.0, -1.0)
-    with pytest.raises(InvalidParams):
-        CounterpartyParams(0.05, -0.01, 0.03)
+        LiquidationSetup(debt, LiquidityModel(30_000), reserve, ratio)

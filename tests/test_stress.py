@@ -1,13 +1,14 @@
 import filecmp
 import json
 import math
+import sys
 from dataclasses import replace
 
 import pytest
 
 from defi_stress import paths, stress
 from defi_stress.errors import InvalidParams, SchemaError
-from defi_stress.paths import GbmParams, correlated_chunks
+from defi_stress.paths import GbmParams, correlated_chunks, correlated_path
 from defi_stress.protocol import LiquidityModel, liquidate_cells
 from defi_stress.stress import (
     ScenarioConfig,
@@ -17,7 +18,7 @@ from defi_stress.stress import (
     write_heatmap_csv,
     write_report,
 )
-from oracle import select_worst_path
+from oracle import margin, scalar_liquidation, select_worst_path
 
 BASELINE_COL = GbmParams(223.0, -0.001592, 0.050581)
 BASELINE_RES = GbmParams(223.0, -0.001592, 0.050581 / 2)
@@ -275,12 +276,50 @@ class TestCorrelationSweep:
         with pytest.raises(InvalidParams):
             correlation_sweep(small_config(), [0.5, 1.5])
 
+    def test_traces_equal_the_scalar_oracle_on_the_worst_paths(self, baseline_config):
+        # Each trace opens its position at its path's first price.
+        config = ScenarioConfig.from_dict(baseline_config)
+        sweep = correlation_sweep(config, [-0.5, 0.9])
+        for rho, report in sweep.items():
+            for setup, cell in zip(config.setups(), report.cells, strict=True):
+                prices = correlated_path(
+                    config.collateral_params,
+                    config.reserve_params,
+                    rho,
+                    config.horizon_days,
+                    config.seed,
+                    cell.worst_path_index,
+                )
+                assert cell.trace == scalar_liquidation(setup, *prices), (rho, setup)
+
     def test_negative_correlation_bolsters_margin(self):
         config = small_config(n_paths=2000)
         sweep = correlation_sweep(config, [-0.9, 0.9])
         neg = sweep[-0.9].cells[0].min_terminal_margin
         pos = sweep[0.9].cells[0].min_terminal_margin
         assert neg > pos
+
+
+def test_trace_margins_match_the_margin_oracle(baseline_config):
+    # The oracle takes the debt off before adding the reserve; each order
+    # rounds within 2 eps of the largest term.
+    config = ScenarioConfig.from_dict(baseline_config)
+    reserve = config.reserve_quantity
+    rows = 0
+    for cell in run_scenario(config).cells:
+        trace = cell.trace
+        for units, price, reserve_price, debt, value in zip(
+            trace.collateral_remaining,
+            trace.collateral_prices,
+            trace.reserve_prices,
+            trace.debt_remaining,
+            trace.margins,
+        ):
+            scale = max(abs(units * price), abs(reserve * reserve_price), debt)
+            expected = margin(units, price, reserve, reserve_price, debt)
+            assert abs(value - expected) <= 4 * sys.float_info.epsilon * scale
+            rows += 1
+    assert rows > len(config.setups())
 
 
 def test_summary_json_contains_cells(tmp_path):
