@@ -11,7 +11,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -62,8 +62,8 @@ class LiquidationSetup:
             raise InvalidParams("collateral ratio must be > 0")
 
     def initial_collateral_units(self, p0: float) -> float:
-        if p0 <= 0:
-            raise InvalidParams("initial price must be > 0")
+        if not 0 < p0 < math.inf:
+            raise InvalidParams("initial price must be finite and > 0")
         return self.debt * self.collateral_ratio / p0
 
 
@@ -125,8 +125,8 @@ def _liquidate(
     caps: np.ndarray,
     collateral_prices: np.ndarray,
     reserve_prices: np.ndarray,
-    record: Callable[[int, np.ndarray, np.ndarray, tuple[np.ndarray, ...]], None],
-) -> None:
+    history: list | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
     """The daily liquidation rule, run on a block of groups x rows x paths.
 
     Row r starts with debt0[r] and coll0[r] (each a (rows, 1) column) and
@@ -143,6 +143,12 @@ def _liquidate(
     stops once its debt is discharged, and the loop once every entry has
     stopped.
 
+    Returns (first_negative_day, terminal_margin), flat over the block in C
+    order. An entry's first negative day is the first day its margin is
+    negative while it owes debt, -1 if none; its terminal margin is its
+    margin on its last active day: the day its debt is discharged, or the
+    last day of the horizon.
+
     The block is held as flat per-entry arrays, in block order. A stopped
     entry owes nothing, so it sells min(cap, coll, 0) = 0 and is carried
     along unchanged until the live entries are half the current length or
@@ -150,16 +156,13 @@ def _liquidate(
     costs at most twice its live entries, and every day's prices and caps
     are gathered per entry.
 
-    After each day's sale it calls record(t, entries, active, columns).
-    entries holds the flat block indices (into the (groups, rows, paths)
-    block, C order) of the current entries, and active marks those whose
-    debt was outstanding that morning. columns hold, per current entry, the
-    collateral price, reserve price, units sold, proceeds, debt left,
-    collateral left and margin, in LiquidationTrace's column order. Every
-    array passed is a buffer reused on the next day, and active is updated
-    in place after record returns. A zero price raises FloatingPointError
-    instead of warning, and a block whose margins could overflow raises
-    NumericError before the first day.
+    If history is a list, each day appends (entries, active, columns) to it:
+    the flat block indices of the current entries, a mask of those whose
+    debt was outstanding that morning, and a (7, entries) array holding per
+    entry the collateral price, reserve price, units sold, proceeds, debt
+    left, collateral left and margin, in LiquidationTrace's column order. A
+    zero price raises FloatingPointError instead of warning, and a block
+    whose margins could overflow raises NumericError before the first day.
     """
     if reserve_prices.shape[1:] != collateral_prices.shape:
         raise HorizonMismatch("collateral and reserve paths must share a shape")
@@ -187,6 +190,8 @@ def _liquidate(
     debt = debt0[row, 0]
     coll = coll0[row, 0]
     discharge_floor = (_DEBT_EPS * debt0)[row, 0]
+    first_neg = np.full(m, -1, dtype=np.int64)
+    terminal = np.empty(m)
     active = np.ones(m, dtype=bool)
     discharged = np.empty(m, dtype=bool)
     p_col, p_res, u, proceeds, margin, reserve_value = (np.empty(m) for _ in range(6))
@@ -211,7 +216,16 @@ def _liquidate(
             np.multiply(reserve, p_res, out=reserve_value)
             np.add(margin, reserve_value, out=margin)
             np.subtract(margin, debt, out=margin)
-            record(t, entries, active, (p_col, p_res, u, proceeds, debt, coll, margin))
+            if history is not None:
+                columns = (p_col, p_res, u, proceeds, debt, coll, margin)
+                history.append((entries, active.copy(), np.array(columns)))
+            # Few entries turn negative or stop on one day, so only theirs
+            # are written, through their block indices.
+            negative = entries[(margin < 0.0) & active]
+            negative = negative[first_neg[negative] < 0]
+            first_neg[negative] = t
+            last = np.flatnonzero(active if t == n_days - 1 else discharged)
+            terminal[entries[last]] = margin[last]
             np.logical_xor(active, discharged, out=active)
             live = np.count_nonzero(active)
             if 2 * live > m:
@@ -229,6 +243,7 @@ def _liquidate(
             p_col, p_res, u, proceeds, margin, reserve_value = (b[:m] for b in buffers)
             active, discharged = active[:m], discharged[:m]
             active[...] = True
+    return first_neg, terminal
 
 
 @functools.lru_cache(maxsize=1)
@@ -248,7 +263,9 @@ def _cell_rows(
     """`_liquidate`'s (debt0, coll0, reserve, caps): one row per setup over
     the days of the day-major collateral_prices, each position opened at
     the first path's day-0 price. The setups must share one reserve
-    quantity."""
+    quantity, and the block must hold a day and a path."""
+    if not collateral_prices.size:
+        raise InvalidParams("a price block needs at least one day and one path")
     reserve = {s.reserve_quantity for s in setups}
     if len(reserve) != 1:
         raise InvalidParams("setups must share one reserve quantity")
@@ -268,26 +285,22 @@ def run_liquidation(
 ) -> LiquidationTrace:
     """Sell collateral day by day against one simulated price path and
     record every day until the debt is discharged or the path ends. The
-    position opens at the path's first price; one that is not > 0 is
-    InvalidParams."""
-    trace = LiquidationTrace()
-    days, *columns = trace._columns()
-
-    def record(t, _entries, _active, values):
-        days.append(t)
-        for column, value in zip(columns, values):
-            column.append(value.item())
-        if trace.margins[-1] < 0 and trace.first_negative_day is None:
-            trace.first_negative_day = t
-
+    position opens at the path's first price; one that is not finite and
+    > 0 is InvalidParams, as is an empty path."""
     collateral_prices = np.asarray(collateral_path, dtype=float).reshape(-1, 1)
-    _liquidate(
+    history = []
+    (first_neg,), _ = _liquidate(
         *_cell_rows([setup], collateral_prices),
         collateral_prices,
         np.asarray(reserve_path, dtype=float).reshape(1, -1, 1),
-        record,
+        history,
     )
-    return trace
+    columns = np.concatenate([values for *_, values in history], axis=1).tolist()
+    return LiquidationTrace(
+        list(range(len(history))),
+        *columns,
+        first_negative_day=None if first_neg < 0 else int(first_neg),
+    )
 
 
 def liquidate_cells(
@@ -304,34 +317,9 @@ def liquidate_cells(
     (groups, len(setups), paths); first_negative_day is -1 where the margin
     never turns negative. Once a path's debt is discharged its margin is
     frozen at that day.
-
-    Each day `_liquidate` hands over only its current entries, with their
-    flat indices into the result block; the day's events and terminal
-    margins are scattered through those indices.
     """
     shape = (len(reserve_prices), len(setups), collateral_prices.shape[1])
-    last_day = len(collateral_prices) - 1
-    first_neg = np.full(shape, -1, dtype=np.int64)
-    terminal = np.empty(shape)
-    first_neg_flat, terminal_flat = first_neg.reshape(-1), terminal.reshape(-1)
-
-    def record(t, entries, active, columns):
-        *_, debt, _, margin = columns
-        # The first day an active entry's margin is negative.
-        event = np.flatnonzero((margin < 0.0) & active)
-        if len(event):
-            hit = entries[event]
-            first_neg_flat[hit[first_neg_flat[hit] < 0]] = t
-        # The terminal margin is the margin on an entry's last active day:
-        # the day its debt is discharged, or the last day of the horizon.
-        last = active if t == last_day else (debt == 0.0) & active
-        terminal_flat[entries[last]] = margin[last]
-
-    _liquidate(
-        *_cell_rows(setups, collateral_prices),
-        collateral_prices,
-        reserve_prices,
-        record,
+    first_neg, terminal = _liquidate(
+        *_cell_rows(setups, collateral_prices), collateral_prices, reserve_prices
     )
-    return first_neg, terminal
-
+    return first_neg.reshape(shape), terminal.reshape(shape)

@@ -99,11 +99,16 @@ class TestRunLiquidation:
         with pytest.raises(HorizonMismatch):
             run_liquidation(holding(1, 1, LiquidityModel(1), 1.0), [1.0, 1.0], [1.0])
 
-    @pytest.mark.parametrize("p0", [0.0, -1.0])
+    @pytest.mark.parametrize("p0", [0.0, -1.0, math.nan, math.inf])
     def test_first_price_must_be_positive(self, p0):
         setup = LiquidationSetup(1e8, LiquidityModel(30_000), 1e6)
         with pytest.raises(InvalidParams):
             run_liquidation(setup, [p0, 100.0], [100.0, 100.0])
+
+    def test_empty_path(self):
+        setup = LiquidationSetup(1e8, LiquidityModel(30_000), 1e6)
+        with pytest.raises(InvalidParams):
+            run_liquidation(setup, [], [])
 
     def test_conservation(self):
         rng = np.random.default_rng(0)
@@ -194,6 +199,11 @@ class TestLiquidateEnsemble:
         with pytest.raises(HorizonMismatch):
             liquidate_cells([setup], np.ones((5, 2)), np.ones((1, 4, 2)))
 
+    def test_zero_days(self):
+        setup = LiquidationSetup(1e8, LiquidityModel(30_000), 1e6)
+        with pytest.raises(InvalidParams):
+            liquidate_cells([setup], np.empty((0, 3)), np.empty((1, 0, 3)))
+
 
 class TestLiquidationBlock:
     """Several correlations x setups x paths stepped as one block."""
@@ -218,9 +228,10 @@ class TestLiquidationBlock:
 
     def test_every_row_matches_scalar_engine(self):
         collateral, reserve = self.prices()
+        history = []
+        _liquidate(*_cell_rows(self.setups, collateral), collateral, reserve, history)
         traces = {}
-
-        def record(t, entries, active, columns):
+        for t, (entries, active, columns) in enumerate(history):
             for i in np.flatnonzero(active):
                 g, r, k = np.unravel_index(entries[i], (2, 3, 40))
                 trace = traces.setdefault((g, r, k), LiquidationTrace())
@@ -230,8 +241,6 @@ class TestLiquidationBlock:
                     field.append(float(value[i]))
                 if trace.margins[-1] < 0 and trace.first_negative_day is None:
                     trace.first_negative_day = t
-
-        _liquidate(*_cell_rows(self.setups, collateral), collateral, reserve, record)
         assert len(traces) == 2 * 3 * 40
         for (g, r, k), trace in traces.items():
             # Same arithmetic in the same order: every field matches exactly.
@@ -258,16 +267,7 @@ class TestLiquidationBlock:
         prices = 100.0 * (1.0 + np.arange(50) / 10.0)
         collateral = np.tile(prices, (200, 1))
         liquidity = tuple(LiquidityModel(l0) for l0 in (10.0, 30.0, 100.0, 1e4))
-        stepped = live = 0
-        stop_days = []
-
-        def record(t, entries, active, columns):
-            nonlocal stepped, live
-            assert (np.diff(entries) > 0).all()
-            stepped += len(entries)
-            live += np.count_nonzero(active)
-            stop_days.extend([t] * np.count_nonzero(columns[4][active] == 0.0))
-
+        history = []
         _liquidate(
             np.full((4, 1), 1e5),
             np.full((4, 1), 1e4),
@@ -275,13 +275,43 @@ class TestLiquidationBlock:
             _caps(liquidity, 200),
             collateral,
             collateral[None],
-            record,
+            history,
         )
+        stepped = live = 0
+        stop_days = []
+        for t, (entries, active, columns) in enumerate(history):
+            assert (np.diff(entries) > 0).all()
+            stepped += len(entries)
+            live += np.count_nonzero(active)
+            stop_days.extend([t] * np.count_nonzero(columns[4][active] == 0.0))
         block = 4 * 50
         assert len(stop_days) == block and len(set(stop_days)) > 20
         assert stepped <= 2 * live + block
         # Stepping the whole block until its last entry stops costs far more.
         assert 2 * live + block < block * (max(stop_days) + 1) / 2
+
+    def test_outcomes_of_entries_dropped_on_many_days(self):
+        # The constant prices above, falling 2 % a day: entries stop on many
+        # different days, and some turn negative first.
+        prices = 100.0 * (1.0 + np.arange(50) / 10.0)
+        collateral = np.tile(prices, (200, 1)) * 0.98 ** np.arange(200)[:, None]
+        setups = [
+            LiquidationSetup(1e5, LiquidityModel(l0), 0.0, 1.2)
+            for l0 in (10.0, 30.0, 100.0, 1e4)
+        ]
+        history = []
+        _liquidate(*_cell_rows(setups, collateral), collateral, collateral[None], history)
+        sizes = [len(entries) for entries, _, _ in history]
+        assert sum(a > b for a, b in zip(sizes, sizes[1:])) >= 3
+        first_neg, terminal = liquidate_cells(setups, collateral, collateral[None])
+        assert len(np.unique(first_neg)) > 10
+        for (g, r, k), day in np.ndenumerate(first_neg):
+            expected = scalar_liquidation(
+                setups[r], collateral[:, k], collateral[:, k], p0=collateral[0, 0]
+            )
+            expected_day = expected.first_negative_day
+            assert day == (-1 if expected_day is None else expected_day)
+            assert terminal[g, r, k] == expected.terminal_margin
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
