@@ -108,34 +108,38 @@ class AttackOutcome:
     loan_interest: float | None = None
 
 
-def sweep_cost(
-    books: Sequence[OrderBookSnapshot], target_qty: float
-) -> SweepResult:
+def _fill(offers: list, target: float, shortfall) -> tuple[list, float]:
+    """Fill target from (unit price, quantity, name) offers, cheapest first.
+
+    A stable sort on price keeps the input order of equal prices; offers
+    of zero quantity, and all offers once the target is met, are passed
+    over. Returns the (name, price, quantity) fills in fill order and their
+    cost, the sum of price times quantity in that order. A target that is
+    not > 0, NaN included, is InvalidParams; offers short of it raise
+    shortfall(target, available).
+    """
+    if not target > 0:
+        raise InvalidParams(f"quantity to fill must be > 0, got {target}")
+    ladder = sorted(offers, key=lambda offer: offer[0])
+    available = sum(qty for _, qty, _ in ladder)
+    if available < target:
+        raise shortfall(target, available)
+    fills, cost, remaining = [], 0.0, target
+    for price, qty, name in ladder:
+        take = min(qty, remaining)
+        if take > 0:
+            fills.append((name, price, take))
+            cost += take * price
+            remaining -= take
+    return fills, cost
+
+
+def sweep_cost(books: Sequence[OrderBookSnapshot], target_qty: float) -> SweepResult:
     """Cost of buying target_qty by walking the cheapest levels across all
     venues merged into one ladder. Ties between equal prices fill in book
     order, then level order."""
-    if target_qty <= 0:
-        raise InvalidParams("target quantity must be > 0")
-    merged = sorted(
-        (
-            (price, bi, li, qty, book.venue_id)
-            for bi, book in enumerate(books)
-            for li, (price, qty) in enumerate(book.levels)
-        ),
-    )
-    depth = sum(level[3] for level in merged)
-    if depth < target_qty:
-        raise InsufficientDepth(target=target_qty, max_fillable=depth)
-    remaining = target_qty
-    fills = []
-    cost = 0.0
-    for price, _, _, qty, venue in merged:
-        take = min(qty, remaining)
-        fills.append((venue, price, take))
-        cost += take * price
-        remaining -= take
-        if remaining <= 0:
-            break
+    offers = [(price, qty, b.venue_id) for b in books for price, qty in b.levels]
+    fills, cost = _fill(offers, target_qty, InsufficientDepth)
     return SweepResult(total_cost=cost, fills=tuple(fills))
 
 
@@ -146,24 +150,9 @@ def flash_loan_cost(
 
     Returns ({pool_id: allocated}, total interest). Ties between equal fees
     fill in input order."""
-    if amount <= 0:
-        raise InvalidParams("loan amount must be > 0")
-    total_available = sum(p.available for p in pools)
-    if total_available < amount:
-        raise InsufficientPoolLiquidity(amount=amount, available=total_available)
-    ordered = sorted(enumerate(pools), key=lambda item: (item[1].fee_rate, item[0]))
-    allocation: dict[str, float] = {}
-    interest = 0.0
-    remaining = amount
-    for _, pool in ordered:
-        if remaining <= 0:
-            break
-        take = min(pool.available, remaining)
-        if take > 0:
-            allocation[pool.pool_id] = take
-            interest += take * pool.fee_rate
-            remaining -= take
-    return allocation, interest
+    offers = [(p.fee_rate, p.available, p.pool_id) for p in pools]
+    fills, interest = _fill(offers, amount, InsufficientPoolLiquidity)
+    return {pool_id: take for pool_id, _, take in fills}, interest
 
 
 def voting_gas_budget(
@@ -187,51 +176,29 @@ def attack_profit(plan: AttackPlan, strategy: str) -> AttackOutcome:
     contract reverts when unprofitable, so a non-executed attack loses only
     its gas.
     """
+    sweep = interest = None
     if strategy == CROWDFUND:
-        profit = (
-            plan.seizable_collateral * plan.loan_currency_price
-            + plan.mintable_debt
-            - plan.gas_cost
-        )
-        if profit <= 0:
-            return AttackOutcome(strategy, False, -plan.gas_cost, {})
         holdings = {
             "loan_currency": plan.seizable_collateral,
             "debt_token": plan.mintable_debt,
         }
-        return AttackOutcome(strategy, True, profit, holdings)
-    if strategy == FLASHLOAN:
-        sweep = sweep_cost(plan.books, plan.tokens_needed)
-        _, interest = flash_loan_cost(plan.flash_pools, sweep.total_cost)
-        loan_currency_left = (
-            plan.seizable_collateral - sweep.total_cost - interest
-        )
-        profit = (
-            loan_currency_left * plan.loan_currency_price
-            + plan.tokens_needed * plan.governance_token_price
-            + plan.mintable_debt
-            - plan.gas_cost
-        )
-        if profit <= 0:
-            return AttackOutcome(
-                strategy,
-                False,
-                -plan.gas_cost,
-                {},
-                sweep_cost=sweep.total_cost,
-                loan_interest=interest,
-            )
+        value = plan.seizable_collateral * plan.loan_currency_price + plan.mintable_debt
+    elif strategy == FLASHLOAN:
+        sweep = sweep_cost(plan.books, plan.tokens_needed).total_cost
+        _, interest = flash_loan_cost(plan.flash_pools, sweep)
         holdings = {
-            "loan_currency": loan_currency_left,
+            "loan_currency": plan.seizable_collateral - sweep - interest,
             "governance_token": plan.tokens_needed,
             "debt_token": plan.mintable_debt,
         }
-        return AttackOutcome(
-            strategy,
-            True,
-            profit,
-            holdings,
-            sweep_cost=sweep.total_cost,
-            loan_interest=interest,
+        value = (
+            holdings["loan_currency"] * plan.loan_currency_price
+            + plan.tokens_needed * plan.governance_token_price
+            + plan.mintable_debt
         )
-    raise InvalidParams(f"unknown strategy {strategy!r}")
+    else:
+        raise InvalidParams(f"unknown strategy {strategy!r}")
+    profit = value - plan.gas_cost
+    if profit <= 0:
+        return AttackOutcome(strategy, False, -plan.gas_cost, {}, sweep, interest)
+    return AttackOutcome(strategy, True, profit, holdings, sweep, interest)

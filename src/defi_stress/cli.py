@@ -91,8 +91,9 @@ def _books(raw: dict) -> tuple[attack.OrderBookSnapshot, ...]:
     )
 
 
-def _attack_plans(raw: dict) -> list[tuple[str, attack.AttackPlan]]:
-    """(strategy name, plan) of each strategy of an attack plan config."""
+def _attack_plans(raw: dict) -> dict[str, attack.AttackPlan]:
+    """{strategy name: plan} of an attack plan config's strategies, whose
+    names must differ."""
     base = dict(
         tokens_needed=float(raw["tokens_needed"]),
         books=_books(raw),
@@ -107,10 +108,13 @@ def _attack_plans(raw: dict) -> list[tuple[str, attack.AttackPlan]]:
         governance_token_price=float(raw["governance_token_price"]),
         loan_currency_price=float(raw["loan_currency_price"]),
     )
-    return [
-        (s["name"], attack.AttackPlan(gas_cost=float(s["gas_cost"]), **base))
-        for s in as_list(raw["strategies"], "strategies")
-    ]
+    plans = {}
+    for s in as_list(raw["strategies"], "strategies"):
+        name = as_str(s["name"], "strategy name")
+        if name in plans:
+            raise SchemaError(f"strategy {name!r} is named twice")
+        plans[name] = attack.AttackPlan(gas_cost=float(s["gas_cost"]), **base)
+    return plans
 
 
 def _contagion(raw: dict, args: argparse.Namespace) -> tuple:
@@ -207,7 +211,7 @@ def cmd_sweep_cost(args: argparse.Namespace) -> int:
 def cmd_attack(args: argparse.Namespace) -> int:
     plans, config_bytes = _config(args, PLAN_SCHEMA, _attack_plans)
     results = {}
-    for name, plan in plans:
+    for name, plan in plans.items():
         results[name] = asdict(attack.attack_profit(plan, name))
         del results[name]["strategy"]
     out_dir = _out_dir(args)

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidParams, InvalidRange, ParseError
+from .marketdata import read_csv_rows
 
 
 @dataclass(frozen=True)
@@ -32,32 +33,17 @@ class MarketSnapshot:
 
     def __post_init__(self):
         for e in self.entries:
-            if e.available_notional < 0:
-                raise InvalidParams("notionals must be >= 0")
+            if not 0 <= e.available_notional < math.inf:
+                raise InvalidParams(f"{e.market_id}: notional must be finite and >= 0")
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "MarketSnapshot":
-        entries = []
-        with Path(path).open(newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [h.strip().lower() for h in header] != [
-                "market",
-                "pair",
-                "notional_usd",
-            ]:
-                raise ParseError("expected header market,pair,notional_usd")
-            for i, row in enumerate(reader):
-                if not row or all(not c.strip() for c in row):
-                    continue
-                if len(row) != 3:
-                    raise ParseError(f"expected 3 fields, got {len(row)}", row=i)
-                try:
-                    entries.append(
-                        MarketEntry(row[0].strip(), row[1].strip(), float(row[2]))
-                    )
-                except ValueError as exc:
-                    raise ParseError(str(exc), row=i) from exc
+        """The snapshot of a `market,pair,notional_usd` CSV file."""
+        entries = read_csv_rows(
+            path,
+            ["market", "pair", "notional_usd"],
+            lambda row: MarketEntry(row[0].strip(), row[1].strip(), float(row[2])),
+        )
         return cls(tuple(entries))
 
 
@@ -127,8 +113,8 @@ def sweepable_total(
     total = sum(e.available_notional for e in snapshot.entries)
     if holdings_cap is None:
         return total
-    if holdings_cap < 0:
-        raise InvalidParams("holdings cap must be >= 0")
+    if not holdings_cap >= 0:
+        raise InvalidParams(f"holdings cap must be >= 0, got {holdings_cap}")
     return min(holdings_cap, total)
 
 

@@ -77,6 +77,40 @@ class ReturnStats:
         return json.dumps({"mu": self.mu, "sigma": self.sigma, "n": self.n})
 
 
+def read_csv_rows(path: str | Path, header: list[str], parse) -> list:
+    """parse(row) of each non-blank row of a CSV file, in file order. The
+    first line must be header, matched ignoring case and spaces. A file with
+    no line is EmptySeries; a wrong header is a ParseError, as is a row with
+    the wrong number of fields or one on which parse raises ValueError, with
+    the row's index (0-based, excluding the header).
+    """
+    path = Path(path)
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        first = next(reader, None)
+        if first is None:
+            raise EmptySeries(f"{path}: no rows")
+        if [h.strip().lower() for h in first] != header:
+            raise ParseError(f"expected header {','.join(header)}")
+        parsed = []
+        for i, row in enumerate(reader):
+            if all(not c.strip() for c in row):
+                continue
+            if len(row) != len(header):
+                raise ParseError(
+                    f"expected {len(header)} fields, got {len(row)}", row=i
+                )
+            try:
+                parsed.append(parse(row))
+            except ValueError as exc:
+                raise ParseError(str(exc), row=i) from exc
+    return parsed
+
+
+def _observation(row: list[str]) -> Observation:
+    return Observation(dt.date.fromisoformat(row[0].strip()), *map(float, row[1:]))
+
+
 def load_series(path: str | Path) -> PriceSeries:
     """Parse a `date,open,high,low,close,volume` CSV into a PriceSeries.
 
@@ -84,33 +118,7 @@ def load_series(path: str | Path) -> PriceSeries:
     Raises ParseError with the offending row index (0-based, excluding the
     header) for a malformed row; PriceSeries checks the values.
     """
-    path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptySeries(f"{path}: no rows")
-        if [h.strip().lower() for h in header] != CSV_HEADER:
-            raise ParseError(f"expected header {','.join(CSV_HEADER)}")
-        observations = []
-        for i, row in enumerate(reader):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != 6:
-                raise ParseError(f"expected 6 fields, got {len(row)}", row=i)
-            try:
-                obs = Observation(
-                    date=dt.date.fromisoformat(row[0].strip()),
-                    open=float(row[1]),
-                    high=float(row[2]),
-                    low=float(row[3]),
-                    close=float(row[4]),
-                    volume=float(row[5]),
-                )
-            except ValueError as exc:
-                raise ParseError(str(exc), row=i) from exc
-            observations.append(obs)
+    observations = read_csv_rows(path, CSV_HEADER, _observation)
     if not observations:
         raise EmptySeries(f"{path}: no valid rows")
     return PriceSeries(tuple(observations))

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from defi_stress.attack import (
     AttackPlan,
@@ -116,6 +116,25 @@ class TestSweepCost:
         assert all(np.diff(costs) >= -1e-9)
         assert all(np.diff(marginal) >= -1e-9)
 
+    def test_bundled_plan_fills(self, attack_plan_raw):
+        plan = load_plan(attack_plan_raw, gas_cost=15.0)
+        result = sweep_cost(plan.books, plan.tokens_needed)
+        assert result.total_cost == 378940.0
+        assert result.fills == (
+            ("kyber", 2.29492, 10000.0),
+            ("uniswap", 5.0, 6000.0),
+            ("switcheo", 5.5, 500.0),
+            ("kyber", 6.5, 10000.0),
+            ("kyber", 9.8, 10000.0),
+            ("kyber", 11.7801, 8000.0),
+            ("uniswap", 12.0, 5500.0),
+        )
+
+    @pytest.mark.parametrize("target", [0.0, -1.0, float("nan")])
+    def test_target_must_be_positive(self, target):
+        with pytest.raises(InvalidParams):
+            sweep_cost([book("a", (10.0, 5.0))], target)
+
     def test_book_validation(self):
         with pytest.raises(InvalidParams):
             book("a", (10.0, 5.0), (9.0, 5.0))  # decreasing price
@@ -144,6 +163,50 @@ class TestFlashLoanCost:
     def test_insufficient_liquidity(self):
         with pytest.raises(InsufficientPoolLiquidity):
             flash_loan_cost([FlashPool("A", 10, 0.0)], 11)
+
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 50), st.sampled_from([0.0, 5e-4, 9e-4, 3e-3])),
+            min_size=1,
+            max_size=8,
+        ),
+        st.data(),
+    )
+    def test_greedy_allocation_properties(self, pool_specs, data):
+        # Whole-unit liquidity and amounts keep every sum below exact.
+        total = sum(available for available, _ in pool_specs)
+        assume(total > 0)
+        amount = float(data.draw(st.integers(1, total)))
+        pools = [
+            FlashPool(f"p{i}", float(available), fee)
+            for i, (available, fee) in enumerate(pool_specs)
+        ]
+        alloc, interest = flash_loan_cost(pools, amount)
+        assert sum(alloc.values()) == amount
+        drawn = {p.pool_id: alloc.get(p.pool_id, 0.0) for p in pools}
+        assert all(0 <= drawn[p.pool_id] <= p.available for p in pools)
+        dearest = max(p.fee_rate for p in pools if p.pool_id in alloc)
+        for i, p in enumerate(pools):
+            if p.fee_rate < dearest:
+                assert drawn[p.pool_id] == p.available
+            if drawn[p.pool_id] > 0:
+                # Every earlier pool of the same fee was drawn in full first.
+                for q in pools[:i]:
+                    if q.fee_rate == p.fee_rate:
+                        assert drawn[q.pool_id] == q.available
+        fill_order = sorted(pools, key=lambda p: p.fee_rate)
+        assert list(alloc) == [p.pool_id for p in fill_order if p.pool_id in alloc]
+        fees = {p.pool_id: p.fee_rate for p in pools}
+        expected = 0.0
+        for pool_id, take in alloc.items():
+            expected += take * fees[pool_id]
+        assert interest == expected
+
+    @pytest.mark.parametrize("amount", [0.0, float("nan")])
+    def test_amount_must_be_positive(self, amount):
+        with pytest.raises(InvalidParams):
+            flash_loan_cost([FlashPool("A", 10, 0.0)], amount)
 
 
 class TestVotingGasBudget:
@@ -194,3 +257,18 @@ class TestAttackProfit:
     def test_unknown_strategy(self, attack_plan_raw):
         with pytest.raises(InvalidParams):
             attack_profit(load_plan(attack_plan_raw, 15.0), "bribe")
+
+    def test_bundled_plan_outcomes(self, attack_plan_raw):
+        flash = attack_profit(load_plan(attack_plan_raw, gas_cost=15.0), "flashloan")
+        assert flash.net_profit == 184913766.13108
+        assert flash.sweep_cost == 378940.0
+        assert flash.loan_interest == 265.82003999999995
+        assert flash.holdings == {
+            "loan_currency": 55667.17996,
+            "governance_token": 50000.0,
+            "debt_token": 145000000.0,
+        }
+        crowd = attack_profit(load_plan(attack_plan_raw, gas_cost=20.0), "crowdfund")
+        assert crowd.net_profit == 241976659.0
+        assert crowd.sweep_cost is None and crowd.loan_interest is None
+        assert crowd.holdings == {"loan_currency": 434873.0, "debt_token": 145000000.0}

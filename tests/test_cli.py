@@ -554,6 +554,10 @@ def bundled(data_dir, fixture, at=(), value=None):
         ("attack", PLAN, ("seizable_collateral",), "inf"),
         ("attack", PLAN, ("flash_pools", 0, "fee_rate"), "nan"),
         ("sweep-cost", PLAN, ("books", 0, "levels", 0, 1), "inf"),
+        # A NaN sweep target or holdings cap, and two strategies of one name.
+        ("sweep-cost", PLAN, ("tokens_needed",), "nan"),
+        ("contagion", MODEL, ("holdings_cap",), "nan"),
+        ("attack", PLAN, ("strategies", 1, "name"), "flashloan"),
     ],
 )
 def test_malformed_config_exits_2_before_writing(

@@ -5,7 +5,7 @@ Each example takes a shrunk bundled config, applies one to three mutations
 numeric or non-numeric string, a bool, null, [], {} or a nested list), and
 runs the command on it. Whatever the input, the command either writes
 strictly valid, finite outputs and prints nothing, or exits 2 or 3 with one
-line on stderr.
+line on stderr; on exit 2 it has written nothing.
 """
 
 import contextlib
@@ -155,3 +155,5 @@ def test_valid_outputs_or_exit_2_or_3_with_one_line(command, data):
             assert len(lines) == 1, lines
             prefix = "error: " if code == 2 else "numeric error: "
             assert lines[0].startswith(prefix), lines
+            # An input error is found before any output is written.
+            assert code == 3 or not out.exists()

@@ -17,7 +17,7 @@ from defi_stress.contagion import (
     write_loss_csv,
     LossDistribution,
 )
-from defi_stress.errors import InvalidParams, InvalidRange, ParseError
+from defi_stress.errors import EmptySeries, InvalidParams, InvalidRange, ParseError
 from oracle import whole_array_systemic_loss
 
 MB = 2**20
@@ -57,6 +57,38 @@ class TestSweepableTotal:
         path.write_text("a,b\n1,2\n")
         with pytest.raises(ParseError):
             MarketSnapshot.from_csv(path)
+
+    def test_csv_blank_rows_skipped_and_field_count_checked(self, tmp_path):
+        path = tmp_path / "snap.csv"
+        path.write_text("market,pair,notional_usd\nm,DAI/ETH,5\n\n , ,\nn,DAI/USDC,7\n")
+        snapshot = MarketSnapshot.from_csv(path)
+        assert snapshot.entries == (
+            MarketEntry("m", "DAI/ETH", 5.0),
+            MarketEntry("n", "DAI/USDC", 7.0),
+        )
+        path.write_text("market,pair,notional_usd\nm,DAI/ETH,5\n\nn,DAI/USDC\n")
+        with pytest.raises(ParseError) as exc:
+            MarketSnapshot.from_csv(path)
+        assert exc.value.row == 2
+        assert str(exc.value) == "row 2: expected 3 fields, got 2"
+
+    def test_csv_without_a_header_line_is_empty(self, tmp_path):
+        path = tmp_path / "snap.csv"
+        path.write_text("")
+        with pytest.raises(EmptySeries):
+            MarketSnapshot.from_csv(path)
+
+    @pytest.mark.parametrize("notional", ["nan", "inf"])
+    def test_non_finite_notional_rejected(self, tmp_path, notional):
+        path = tmp_path / "snap.csv"
+        path.write_text(f"market,pair,notional_usd\nm,DAI/ETH,5\nn,DAI,{notional}\n")
+        with pytest.raises(InvalidParams):
+            MarketSnapshot.from_csv(path)
+
+    @pytest.mark.parametrize("cap", [-1.0, math.nan])
+    def test_cap_must_be_non_negative(self, cap):
+        with pytest.raises(InvalidParams):
+            sweepable_total(MarketSnapshot(()), cap)
 
 
 class TestMaxSystemicLoss:
