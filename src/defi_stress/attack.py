@@ -82,6 +82,10 @@ class AttackPlan:
             raise InvalidParams("attack plan amounts and prices must be finite")
         if self.tokens_needed <= 0:
             raise InvalidParams("tokens_needed must be > 0")
+        if min(self.seizable_collateral, self.mintable_debt, self.gas_cost) < 0:
+            raise InvalidParams(
+                "seizable_collateral, mintable_debt and gas_cost must be >= 0"
+            )
         if self.governance_token_price <= 0 or self.loan_currency_price <= 0:
             raise InvalidParams("prices must be > 0")
 
@@ -115,22 +119,33 @@ def _fill(offers: list, target: float, shortfall) -> tuple[list, float]:
     of zero quantity, and all offers once the target is met, are passed
     over. Returns the (name, price, quantity) fills in fill order and their
     cost, the sum of price times quantity in that order. A target that is
-    not > 0, NaN included, is InvalidParams; offers short of it raise
-    shortfall(target, available).
+    not > 0, NaN included, is InvalidParams.
+
+    One rule fills and decides a shortfall, on the running sum of the
+    quantities taken: offers are taken whole while that sum stays within
+    the target, and the first offer whose whole quantity would pass it gives
+    the rest, target - sum, and ends the fill. If the sum of every offer is
+    below the target, the offers fall short: shortfall(target, sum) is
+    raised. So a target equal to the offers' quantities summed in fill
+    order is filled, and the last fill is what remained of the target.
     """
     if not target > 0:
         raise InvalidParams(f"quantity to fill must be > 0, got {target}")
     ladder = sorted(offers, key=lambda offer: offer[0])
-    available = sum(qty for _, qty, _ in ladder)
-    if available < target:
-        raise shortfall(target, available)
-    fills, cost, remaining = [], 0.0, target
+    fills, cost, filled = [], 0.0, 0.0
     for price, qty, name in ladder:
-        take = min(qty, remaining)
-        if take > 0:
-            fills.append((name, price, take))
-            cost += take * price
-            remaining -= take
+        if filled == target:
+            break
+        if filled + qty > target:
+            rest = target - filled
+            fills.append((name, price, rest))
+            return fills, cost + rest * price
+        if qty > 0:
+            fills.append((name, price, qty))
+            cost += qty * price
+            filled += qty
+    if filled < target:
+        raise shortfall(target, filled)
     return fills, cost
 
 

@@ -1,7 +1,8 @@
 """Run outputs in JSON: the strict writer every JSON output goes through, and
 the run manifest, enough metadata to reproduce a run bit-for-bit (excluding
-its timestamp): config digest, seed, numpy version, path RNG scheme and
-the number of paths drawn and liquidated together."""
+its timestamp): config digest, seed, numpy version, path RNG scheme, the
+number of paths drawn and liquidated together and the number of days priced
+and liquidated together."""
 
 from __future__ import annotations
 
@@ -48,5 +49,6 @@ def write_manifest(
             "numpy_version": np.__version__,
             "rng_scheme": paths.RNG_SCHEME,
             "chunk_paths": paths.CHUNK_PATHS,
+            "day_block_days": paths.DAY_BLOCK,
         },
     )

@@ -11,14 +11,20 @@ transposed, into the day-major shock buffer in one assignment, so no draw
 writes to a strided column.
 
 Shocks and prices are stored day-major, (days, paths), so the liquidation
-engine's read of one day across all paths is contiguous. `correlated_chunks`
-hands them out so; `simulate_gbm` returns a transposed view, with shape
-(paths, days).
+engine's read of one day across all paths is contiguous. A chunk of paths
+keeps only its two shock arrays, collateral and independent, each
+(horizon, paths). Its prices are built DAY_BLOCK days at a time into one
+small (days, 1 + correlations, paths) block, the collateral first and then
+the reserve under each correlation, and handed out block by block, each
+block's log-prices continuing from the last day of the one before. So a
+chunk's memory is its shocks plus one day block, whatever the number of
+correlations. `simulate_gbm` prices its days as one block and returns a
+transposed view, with shape (paths, days).
 
 Because path k depends only on its key, a correlated ensemble is drawn in
 chunks of CHUNK_PATHS paths (`correlated_chunks`), and any single path can
 be re-drawn on its own (`correlated_path`) with the same bits, whatever the
-chunking.
+chunking or the block size.
 """
 
 from __future__ import annotations
@@ -34,19 +40,20 @@ from .errors import InvalidParams, NumericError
 COLLATERAL = 0
 RESERVE = 1
 
-# Paths drawn, priced and liquidated together; memory is bounded by one chunk
-# of every array, whatever the ensemble size.
+# Paths drawn, priced and liquidated together. A chunk holds its two
+# (horizon, CHUNK_PATHS) shock arrays and one day block of prices, so memory
+# is bounded by one chunk, whatever the ensemble size.
 CHUNK_PATHS = 2048
+# Days priced and liquidated together: 8 days x 2048 paths x (1 + 5
+# correlations) is 0.8 MB, in place of a (horizon + 1) x 2048 price array
+# per asset and correlation.
+DAY_BLOCK = 8
 # Identifies the shock scheme above in run manifests.
 RNG_SCHEME = "philox-per-path/1"
 # Paths per contiguous path-major tile in `_increments`: 128 x 365 days is
 # 0.37 MB, small enough to stay in cache between the draws and the
 # transposed copy into the day-major buffer.
 _TILE_PATHS = 128
-# Days per block in which `_correlated_prices` scales the independent shocks
-# before adding them to a reserve shock: 32 days x 2048 paths is 0.5 MB,
-# in place of a scaled copy of every shock of the chunk.
-_SHOCK_DAYS = 32
 
 
 @dataclass(frozen=True)
@@ -100,40 +107,74 @@ def _increments(
     return z
 
 
-def _prices_from_shocks(
-    params: GbmParams, z: np.ndarray, prices: np.ndarray | None = None
-) -> np.ndarray:
-    """P_t = p0 * exp((mu - sigma^2/2) t + sigma W_t), W_t = cumsum of shocks.
+def _price_blocks(
+    collateral: GbmParams,
+    reserve: GbmParams | None,
+    rhos: Sequence[float],
+    z_col: np.ndarray,
+    z_ind: np.ndarray | None,
+    block_days: int,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Day-major prices of the paths of the (horizon, n_paths) shocks z_col
+    and z_ind, block_days days at a time.
 
-    z is day-major, (horizon, n_paths); so is the result, (horizon + 1,
-    n_paths), built in one buffer: prices if given, else a new one. z may be
-    prices[1:] itself. The running sum adds day t - 1 to day t over whole
-    rows, the additions of np.cumsum(axis=0) in the same order, so its bits
-    are those of cumsum. A price that is not finite and > 0 (one that
-    underflowed to 0 or overflowed to inf, or NaN) raises NumericError,
-    whatever the liquidation does with it.
+    Yields (collateral prices, (days, n_paths); reserve prices, (days,
+    len(rhos), n_paths)) for consecutive days: day 0, every price its p0,
+    with the first block_days days, then block_days days at a time. Both are
+    views of one reused (days, 1 + len(rhos), n_paths) block, valid until
+    the next block is drawn. reserve and z_ind are unused when rhos is
+    empty.
+
+    The reserve shock for correlation rho is rho * z_col + sqrt(1 - rho^2) *
+    z_ind, so each asset's marginal law matches `simulate_gbm`, and the
+    collateral prices are those of a standalone collateral simulation.
+    Prices are P_t = p0 * exp((mu - sigma^2/2) t + sigma W_t), W_t the
+    running sum of shocks: day t's log-price is day t - 1's plus day t's
+    step, over whole rows, the additions of np.cumsum(axis=0) in the same
+    order, so its bits are those of cumsum. The last day's log-price of one
+    block is carried into the first row of the next. A price that is not
+    finite and > 0 (one that underflowed to 0 or overflowed to inf, or NaN)
+    raises NumericError when its block is built, whatever the liquidation
+    does with it.
     """
-    horizon, n_paths = z.shape
-    drift = params.mu - params.sigma**2 / 2.0
-    if prices is None:
-        prices = np.empty((horizon + 1, n_paths))
-    prices[0] = 0.0
-    log_steps = prices[1:]
-    # An overflow to inf is caught by the check below, not warned about.
-    with np.errstate(over="ignore"):
-        np.multiply(params.sigma, z, out=log_steps)
-        np.add(drift, log_steps, out=log_steps)
-        for t in range(1, horizon):
-            np.add(log_steps[t - 1], log_steps[t], out=log_steps[t])
-        np.exp(prices, out=prices)
-        np.multiply(params.p0, prices, out=prices)
-    # min() and max() are NaN if any price is.
-    if not (prices.min() > 0.0 and prices.max() < math.inf):
-        raise NumericError(
-            "a simulated price is not finite and > 0: drift or volatility "
-            "too extreme"
-        )
-    return prices
+    horizon, n_paths = z_col.shape
+    assets = (collateral,) + (reserve,) * len(rhos)
+    sigma = np.array([[p.sigma] for p in assets])
+    drift = np.array([[p.mu - p.sigma**2 / 2.0] for p in assets])
+    p0 = np.array([[p.p0] for p in assets])
+    weights = [np.sqrt(1.0 - rho**2) for rho in rhos]
+    days = min(block_days, horizon)
+    block = np.empty((days + 1, len(assets), n_paths))
+    scaled = np.empty((days, n_paths)) if rhos else None
+    carry = np.zeros((len(assets), n_paths))
+    for lo in range(0, horizon, block_days):
+        hi = min(lo + block_days, horizon)
+        logs = block[: hi - lo + 1]
+        logs[0] = carry
+        steps = logs[1:]
+        steps[:, 0] = z_col[lo:hi]
+        for j, (rho, weight) in enumerate(zip(rhos, weights), start=1):
+            np.multiply(rho, z_col[lo:hi], out=steps[:, j])
+            np.multiply(weight, z_ind[lo:hi], out=scaled[: hi - lo])
+            np.add(steps[:, j], scaled[: hi - lo], out=steps[:, j])
+        # An overflow to inf is caught by the check below, not warned about.
+        with np.errstate(over="ignore"):
+            np.multiply(sigma, steps, out=steps)
+            np.add(drift, steps, out=steps)
+            # Day 1's log-price is its step; later days add the day before.
+            for t in range(2 if lo == 0 else 1, hi - lo + 1):
+                np.add(logs[t - 1], logs[t], out=logs[t])
+            carry[...] = logs[-1]
+            prices = logs if lo == 0 else steps
+            np.exp(prices, out=prices)
+            np.multiply(p0, prices, out=prices)
+        # min() and max() are NaN if any price is.
+        if not (prices.min() > 0.0 and prices.max() < math.inf):
+            raise NumericError(
+                "a simulated price is not finite and > 0: drift or volatility "
+                "too extreme"
+            )
+        yield prices[:, 0], prices[:, 1:]
 
 
 def _check_size(horizon_days: int, n_paths: int) -> None:
@@ -157,49 +198,26 @@ def simulate_gbm(
     """Simulate daily GBM prices; shape (n_paths, horizon_days + 1)."""
     _check_size(horizon_days, n_paths)
     z = _increments(seed, COLLATERAL, horizon_days, n_paths)
-    return _prices_from_shocks(params, z).T
+    ((prices, _),) = _price_blocks(params, None, (), z, None, horizon_days)
+    return prices.T
 
 
-def _correlated_prices(
+def _chunk_prices(
     collateral: GbmParams,
     reserve: GbmParams,
     rhos: Sequence[float],
-    horizon_days: int,
-    n_paths: int,
     seed: int,
     start: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Day-major prices of paths start .. start + n_paths - 1: collateral,
-    (horizon + 1, n_paths), and reserve, (len(rhos), horizon + 1, n_paths).
-
-    The reserve shock for correlation rho is
-    rho * z_col + sqrt(1 - rho^2) * z_indep, so each asset's marginal law
-    matches `simulate_gbm`, and the collateral prices are bit-identical to a
-    standalone collateral simulation under the same seed. The collateral
-    shocks are drawn into the collateral price buffer and turned into prices
-    there once every reserve shock is formed. Each reserve shock is formed
-    in its own price buffer; the scaled independent shocks are added to it
-    in blocks of _SHOCK_DAYS days through one small buffer.
-    """
-    collateral_prices = np.empty((horizon_days + 1, n_paths))
-    z_col = _increments(
-        seed, COLLATERAL, horizon_days, n_paths, start, collateral_prices[1:]
-    )
-    z_ind = _increments(seed, RESERVE, horizon_days, n_paths, start)
-    reserve_prices = np.empty((len(rhos), horizon_days + 1, n_paths))
-    scaled = np.empty((min(_SHOCK_DAYS, horizon_days), n_paths))
-    for prices, rho in zip(reserve_prices, rhos):
-        z_res = prices[1:]
-        np.multiply(rho, z_col, out=z_res)
-        weight = np.sqrt(1.0 - rho**2)
-        for lo in range(0, horizon_days, _SHOCK_DAYS):
-            hi = min(lo + _SHOCK_DAYS, horizon_days)
-            block = scaled[: hi - lo]
-            np.multiply(weight, z_ind[lo:hi], out=block)
-            np.add(z_res[lo:hi], block, out=z_res[lo:hi])
-        _prices_from_shocks(reserve, z_res, prices)
-    _prices_from_shocks(collateral, z_col, collateral_prices)
-    return collateral_prices, reserve_prices
+    shocks: np.ndarray,
+    block_days: int,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """`_price_blocks` of paths start, start + 1, ..., whose collateral and
+    independent shocks are drawn into shocks[0] and shocks[1], each
+    (horizon, paths), when the first block is asked for."""
+    z_col, z_ind = shocks
+    _increments(seed, COLLATERAL, *z_col.shape, start, z_col)
+    _increments(seed, RESERVE, *z_ind.shape, start, z_ind)
+    yield from _price_blocks(collateral, reserve, rhos, z_col, z_ind, block_days)
 
 
 def correlated_chunks(
@@ -209,26 +227,32 @@ def correlated_chunks(
     horizon_days: int,
     n_paths: int,
     seed: int,
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+) -> Iterator[tuple[int, Iterator[tuple[np.ndarray, np.ndarray]]]]:
     """The seeded two-asset ensemble of n_paths paths, for every rho in rhos
     at once, in consecutive chunks of up to CHUNK_PATHS paths.
 
-    Yields (start, collateral prices, reserve prices) for paths start,
-    start + 1, ...: day-major collateral prices, (horizon + 1, chunk), and
-    reserve prices per rho, (len(rhos), horizon + 1, chunk). Each chunk's
-    shocks are drawn once and its collateral prices built once for all
-    rhos. The arguments are checked before the first shock is drawn.
+    Yields (start, blocks) for paths start, start + 1, ...: blocks yields
+    the chunk's prices in day order, DAY_BLOCK days at a time (the first
+    block also holds day 0), each a pair of day-major collateral prices,
+    (days, chunk), and reserve prices per rho, (days, len(rhos), chunk),
+    valid until the next block is drawn. Each chunk's shocks are drawn once
+    for all rhos, when its first block is asked for, into one pair of shock
+    arrays that every chunk reuses: take a chunk's blocks before the next
+    chunk's. The arguments are checked before the first shock is drawn.
     """
     for rho in rhos:
         _check_rho(rho)
     _check_size(horizon_days, n_paths)
-    chunk = CHUNK_PATHS
+    chunk, block_days = CHUNK_PATHS, DAY_BLOCK
 
     def chunks():
+        # One pair for the whole pass: memory the allocator keeps, not pages
+        # returned to the system and faulted in again for every chunk.
+        shocks = np.empty((2, horizon_days, min(chunk, n_paths)))
         for start in range(0, n_paths, chunk):
             n = min(chunk, n_paths - start)
-            yield start, *_correlated_prices(
-                collateral, reserve, rhos, horizon_days, n, seed, start
+            yield start, _chunk_prices(
+                collateral, reserve, rhos, seed, start, shocks[..., :n], block_days
             )
 
     return chunks()
@@ -243,13 +267,14 @@ def correlated_path(
     k: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Path k of `correlated_chunks`' ensemble for correlation rho, drawn on
-    its own: the collateral and reserve prices, each of length
-    horizon_days + 1."""
+    its own and priced as one block: the collateral and reserve prices,
+    each of length horizon_days + 1."""
     _check_rho(rho)
     _check_size(horizon_days, 1)
     if k < 0:
         raise InvalidParams("path index must be >= 0")
-    collateral_prices, reserve_prices = _correlated_prices(
-        collateral, reserve, (rho,), horizon_days, 1, seed, k
+    shocks = np.empty((2, horizon_days, 1))
+    ((collateral_prices, reserve_prices),) = _chunk_prices(
+        collateral, reserve, (rho,), seed, k, shocks, horizon_days
     )
-    return collateral_prices[:, 0], reserve_prices[0, :, 0]
+    return collateral_prices[:, 0], reserve_prices[:, 0, 0]

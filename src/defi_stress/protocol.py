@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -118,34 +119,54 @@ def liquidity_at(model: LiquidityModel, t: float) -> float:
     return model.l0 * math.exp(-model.rho * t)
 
 
+def _bounded_days(
+    blocks: Iterable[tuple[np.ndarray, np.ndarray]], coll_max: float, reserve: float
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The (collateral, reserve) prices of each day of the day blocks, in
+    order. A block whose margins could overflow raises NumericError before
+    its first day: an entry's collateral never exceeds coll_max, nor a price
+    the block's highest, so each margin term is at most one of the products
+    below. Each bound trips on a single path, whatever the chunking or the
+    day blocks; with both finite, so is collateral + reserve - debt."""
+    for collateral_prices, reserve_prices in blocks:
+        bounds = (
+            4.0 * coll_max * float(collateral_prices.max()),
+            4.0 * reserve * float(reserve_prices.max()),
+        )
+        if not all(map(math.isfinite, bounds)):
+            raise NumericError("a margin overflows: collateral or reserve too large")
+        yield from zip(collateral_prices, reserve_prices)
+
+
 def _liquidate(
     debt0: np.ndarray,
     coll0: np.ndarray,
     reserve: float,
     caps: np.ndarray,
-    collateral_prices: np.ndarray,
-    reserve_prices: np.ndarray,
+    blocks: Iterable[tuple[np.ndarray, np.ndarray]],
     history: list | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The daily liquidation rule, run on a block of groups x rows x paths.
 
     Row r starts with debt0[r] and coll0[r] (each a (rows, 1) column) and
     every row holds the same reserve units; caps[t] holds every row's
-    sellable units on day t, (rows, 1). Prices are day-major:
-    collateral_prices is (days, paths), reserve_prices (groups, days,
-    paths), and every row runs against every group's reserve prices, so the
-    block has shape (groups, rows, paths).
+    sellable units on day t, (rows, 1), for each of the len(caps) days.
+    Prices come in day blocks, consecutive from day 0 and len(caps) days in
+    all: each a pair of day-major collateral prices, (days, paths), and
+    reserve prices, (days, groups, paths). Every row runs against every
+    group's reserve prices, so the block has shape (groups, rows, paths).
 
     Each day t the protocol sells u_t = min(L(t), collateral left,
     debt left / price) on every entry whose debt is outstanding; proceeds
     retire debt one-for-one at the day's price (no price impact). The margin
     is the plain post-sale buffer collateral + reserve - debt. An entry
-    stops once its debt is discharged, and the loop once every entry has
-    stopped.
+    stops once its debt is discharged, and the day loop once every entry has
+    stopped; the remaining day blocks are still drawn, so every price is
+    checked where it is built and bounded by `_bounded_days`.
 
-    Returns (first_negative_day, terminal_margin), flat over the block in C
-    order. An entry's first negative day is the first day its margin is
-    negative while it owes debt, -1 if none; its terminal margin is its
+    Returns (first_negative_day, terminal_margin), each of shape (groups,
+    rows, paths). An entry's first negative day is the first day its margin
+    is negative while it owes debt, -1 if none; its terminal margin is its
     margin on its last active day: the day its debt is discharged, or the
     last day of the horizon.
 
@@ -161,27 +182,15 @@ def _liquidate(
     debt was outstanding that morning, and a (7, entries) array holding per
     entry the collateral price, reserve price, units sold, proceeds, debt
     left, collateral left and margin, in LiquidationTrace's column order. A
-    zero price raises FloatingPointError instead of warning, and a block
-    whose margins could overflow raises NumericError before the first day.
+    zero price raises FloatingPointError instead of warning, and a day block
+    whose margins could overflow raises NumericError before its first day.
     """
-    if reserve_prices.shape[1:] != collateral_prices.shape:
-        raise HorizonMismatch("collateral and reserve paths must share a shape")
-    # Prices are gathered into float buffers, which take no other dtype.
-    collateral_prices = np.asarray(collateral_prices, dtype=float)
-    reserve_prices = np.asarray(reserve_prices, dtype=float)
-    # An entry's collateral never exceeds its start, nor a price the block's
-    # highest, so each margin term is at most one of these products. Each
-    # bound trips on a single path, whatever the chunking; with both finite,
-    # so is collateral + reserve - debt.
-    bounds = (
-        4.0 * float(coll0.max()) * float(collateral_prices.max()),
-        4.0 * reserve * float(reserve_prices.max()),
-    )
-    if not all(map(math.isfinite, bounds)):
-        raise NumericError("a margin overflows: collateral or reserve too large")
-    n_days, n_paths = collateral_prices.shape
-    n_rows = len(debt0)
-    m = len(reserve_prices) * n_rows * n_paths
+    days = _bounded_days(blocks, float(coll0.max()), reserve)
+    first_day = next(days)
+    n_days, n_rows = len(caps), len(debt0)
+    n_groups, n_paths = first_day[1].shape
+    shape = (n_groups, n_rows, n_paths)
+    m = n_groups * n_rows * n_paths
     entries = np.arange(m)
     path = entries % n_paths
     row = entries // n_paths % n_rows
@@ -197,10 +206,10 @@ def _liquidate(
     p_col, p_res, u, proceeds, margin, reserve_value = (np.empty(m) for _ in range(6))
     # debt / price may overflow to inf; the min() with the cap discards it.
     with np.errstate(divide="raise", invalid="raise", over="ignore"):
-        for t in range(n_days):
+        for t, (day_col, day_res) in enumerate(itertools.chain([first_day], days)):
             # mode="clip" writes straight into out; every index is in range.
-            np.take(collateral_prices[t], path, out=p_col, mode="clip")
-            np.take(reserve_prices[:, t], group_path, out=p_res, mode="clip")
+            np.take(day_col, path, out=p_col, mode="clip")
+            np.take(day_res, group_path, out=p_res, mode="clip")
             np.take(caps[t, :, 0], row, out=u, mode="clip")
             np.minimum(u, coll, out=u)
             np.divide(debt, p_col, out=proceeds)
@@ -243,7 +252,11 @@ def _liquidate(
             p_col, p_res, u, proceeds, margin, reserve_value = (b[:m] for b in buffers)
             active, discharged = active[:m], discharged[:m]
             active[...] = True
-    return first_neg, terminal
+    # Every entry has stopped: the remaining days are still drawn and
+    # bounded, so every price is checked.
+    for _ in days:
+        pass
+    return first_neg.reshape(shape), terminal.reshape(shape)
 
 
 @functools.lru_cache(maxsize=1)
@@ -258,24 +271,41 @@ def _caps(liquidity: tuple[LiquidityModel, ...], n_days: int) -> np.ndarray:
 
 
 def _cell_rows(
-    setups: Sequence[LiquidationSetup], collateral_prices: np.ndarray
+    setups: Sequence[LiquidationSetup], p0: float, n_days: int
 ) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
     """`_liquidate`'s (debt0, coll0, reserve, caps): one row per setup over
-    the days of the day-major collateral_prices, each position opened at
-    the first path's day-0 price. The setups must share one reserve
-    quantity, and the block must hold a day and a path."""
-    if not collateral_prices.size:
-        raise InvalidParams("a price block needs at least one day and one path")
+    n_days days, each position opened at price p0. The setups must share
+    one reserve quantity."""
     reserve = {s.reserve_quantity for s in setups}
     if len(reserve) != 1:
         raise InvalidParams("setups must share one reserve quantity")
-    p0 = float(collateral_prices[0, 0])
     return (
         np.array([[float(s.debt)] for s in setups]),
         np.array([[s.initial_collateral_units(p0)] for s in setups]),
         reserve.pop(),
-        _caps(tuple(s.liquidity for s in setups), len(collateral_prices)),
+        _caps(tuple(s.liquidity for s in setups), n_days),
     )
+
+
+def _whole_block(
+    setups: Sequence[LiquidationSetup],
+    collateral_prices: np.ndarray,
+    reserve_prices: np.ndarray,
+) -> tuple:
+    """`_liquidate`'s arguments, history aside, for whole day-major price
+    arrays, collateral (days, paths) and reserve (groups, days, paths),
+    handed over as one day block; each position is opened at the first
+    path's day-0 price. The block must hold a day and a path."""
+    # Prices are gathered into float buffers, which take no other dtype.
+    collateral_prices = np.asarray(collateral_prices, dtype=float)
+    reserve_prices = np.asarray(reserve_prices, dtype=float)
+    if reserve_prices.shape[1:] != collateral_prices.shape:
+        raise HorizonMismatch("collateral and reserve paths must share a shape")
+    if not collateral_prices.size:
+        raise InvalidParams("a price block needs at least one day and one path")
+    p0, n_days = float(collateral_prices[0, 0]), len(collateral_prices)
+    block = (collateral_prices, reserve_prices.transpose(1, 0, 2))
+    return *_cell_rows(setups, p0, n_days), [block]
 
 
 def run_liquidation(
@@ -287,19 +317,21 @@ def run_liquidation(
     record every day until the debt is discharged or the path ends. The
     position opens at the path's first price; one that is not finite and
     > 0 is InvalidParams, as is an empty path."""
-    collateral_prices = np.asarray(collateral_path, dtype=float).reshape(-1, 1)
     history = []
-    (first_neg,), _ = _liquidate(
-        *_cell_rows([setup], collateral_prices),
-        collateral_prices,
-        np.asarray(reserve_path, dtype=float).reshape(1, -1, 1),
+    first_neg, _ = _liquidate(
+        *_whole_block(
+            [setup],
+            np.asarray(collateral_path, dtype=float).reshape(-1, 1),
+            np.asarray(reserve_path, dtype=float).reshape(1, -1, 1),
+        ),
         history,
     )
     columns = np.concatenate([values for *_, values in history], axis=1).tolist()
+    first_neg = first_neg.item()
     return LiquidationTrace(
         list(range(len(history))),
         *columns,
-        first_negative_day=None if first_neg < 0 else int(first_neg),
+        first_negative_day=None if first_neg < 0 else first_neg,
     )
 
 
@@ -318,8 +350,19 @@ def liquidate_cells(
     never turns negative. Once a path's debt is discharged its margin is
     frozen at that day.
     """
-    shape = (len(reserve_prices), len(setups), collateral_prices.shape[1])
-    first_neg, terminal = _liquidate(
-        *_cell_rows(setups, collateral_prices), collateral_prices, reserve_prices
-    )
-    return first_neg.reshape(shape), terminal.reshape(shape)
+    return _liquidate(*_whole_block(setups, collateral_prices, reserve_prices))
+
+
+def liquidate_blocks(
+    setups: Sequence[LiquidationSetup],
+    blocks: Iterable[tuple[np.ndarray, np.ndarray]],
+    p0: float,
+    n_days: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """`liquidate_cells` over prices that come in day blocks, such as one
+    chunk of `paths.correlated_chunks`: pairs of day-major collateral
+    prices, (days, paths), and reserve prices, (days, groups, paths),
+    consecutive from day 0 and n_days days in all. Each position opens at
+    price p0. Each block is liquidated as it comes, and every block is drawn,
+    even once every debt is discharged."""
+    return _liquidate(*_cell_rows(setups, p0, n_days), blocks)

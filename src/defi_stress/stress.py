@@ -5,10 +5,12 @@ All cells of one report are computed from a single seeded ensemble, so
 differences between cells are attributable to debt and liquidity alone.
 
 One pipeline serves every entry point. The ensemble is drawn in chunks of
-`paths.CHUNK_PATHS` paths; on each chunk every (correlation, debt, regime)
-row is liquidated in one block, and each row keeps only its running worst
-path, so memory does not grow with the number of paths. A worst path's
-trace comes from re-drawing that one path.
+`paths.CHUNK_PATHS` paths, and each chunk's prices are built
+`paths.DAY_BLOCK` days at a time; on each chunk every (correlation, debt,
+regime) row is liquidated in one block, each day block as soon as it is
+built, and each row keeps only its running worst path. So memory holds one
+chunk's shocks and one day block, however many paths and correlations
+there are. A worst path's trace comes from re-drawing that one path.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .protocol import (
     LiquidationSetup,
     LiquidationTrace,
     LiquidityModel,
-    liquidate_cells,
+    liquidate_blocks,
     run_liquidation,
 )
 
@@ -180,10 +182,12 @@ class _WorstPaths:
 
 def _worst_paths(config: ScenarioConfig, rhos: Sequence[float]) -> _WorstPaths:
     """Every cell of config under every correlation in rhos, reduced over
-    config's seeded ensemble one chunk of paths at a time."""
+    config's seeded ensemble one chunk of paths at a time, each chunk's
+    prices liquidated day block by day block as they are built."""
     setups = config.setups()
     worst = _WorstPaths((len(rhos), len(setups)))
-    for start, collateral_prices, reserve_prices in correlated_chunks(
+    p0, n_days = config.collateral_params.p0, config.horizon_days + 1
+    for start, blocks in correlated_chunks(
         config.collateral_params,
         config.reserve_params,
         rhos,
@@ -191,9 +195,7 @@ def _worst_paths(config: ScenarioConfig, rhos: Sequence[float]) -> _WorstPaths:
         config.n_paths,
         config.seed,
     ):
-        worst.fold(start, *liquidate_cells(setups, collateral_prices, reserve_prices))
-        # Release this chunk before the next one is drawn.
-        del collateral_prices, reserve_prices
+        worst.fold(start, *liquidate_blocks(setups, blocks, p0, n_days))
     return worst
 
 
@@ -268,7 +270,8 @@ def correlation_sweep(
 
     Each report equals run_scenario(replace(config, rho_corr=rho)); every
     level's cells are liquidated together on each chunk of paths, whose
-    shocks and collateral prices are computed once. threads has no effect.
+    shocks are drawn once and whose collateral prices are built once for
+    every level. threads has no effect.
     """
     return dict(zip(rhos, _reports(config, rhos)))
 

@@ -10,6 +10,8 @@
 - `select_worst_path`: worst-path selection over a whole ensemble's
   liquidation results at once, the oracle for the chunk-by-chunk fold of
   `defi_stress.stress`.
+- `whole_chunk`: one chunk's day blocks joined into whole day-major price
+  arrays, the form `liquidate_cells` and the oracles above take.
 - `whole_array_systemic_loss`: the contagion loss drawn as one
   (n_samples, n_protocols) array, the oracle for the block-by-block draw of
   `defi_stress.contagion.max_systemic_loss`.
@@ -131,6 +133,16 @@ def select_worst_path(
         idx = int(np.argmin(days))
         return idx, int(first_neg[idx])
     return int(np.argmin(terminal)), None
+
+
+def whole_chunk(blocks) -> tuple[np.ndarray, np.ndarray]:
+    """The day blocks of one chunk of `defi_stress.paths.correlated_chunks`,
+    joined in day order: collateral prices, (days, paths), and reserve
+    prices, (groups, days, paths). Each block is copied before the next one
+    is drawn into the same buffer."""
+    collateral, reserve = zip(*((col.copy(), res.copy()) for col, res in blocks))
+    reserve = np.concatenate(reserve).transpose(1, 0, 2)
+    return np.concatenate(collateral), np.ascontiguousarray(reserve)
 
 
 def whole_array_systemic_loss(model: CompositionModel) -> LossDistribution:

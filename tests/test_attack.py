@@ -203,6 +203,41 @@ class TestFlashLoanCost:
             expected += take * fees[pool_id]
         assert interest == expected
 
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(0.0, 1e6), st.sampled_from([0.0, 5e-4, 9e-4, 3e-3])
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        st.one_of(st.just(1.0), st.floats(0.9, 1.1)),
+    )
+    def test_allocation_leaves_nothing_unfilled_or_raises(self, pool_specs, share):
+        # Amounts at and about the pools' total, summed in input order.
+        pools = [
+            FlashPool(f"p{i}", available, fee)
+            for i, (available, fee) in enumerate(pool_specs)
+        ]
+        amount = share * sum(available for available, _ in pool_specs)
+        assume(amount > 0)
+        fill_order = sorted(pools, key=lambda p: p.fee_rate)
+        try:
+            alloc, _ = flash_loan_cost(pools, amount)
+        except InsufficientPoolLiquidity as exc:
+            # Every pool was drawn in full, and that falls short.
+            assert exc.available == sum(p.available for p in fill_order)
+            assert exc.available < amount
+            return
+        # Every pool drawn but the last gives all it holds, and the last
+        # gives what remained of the amount: nothing is left unfilled.
+        available = {p.pool_id: p.available for p in pools}
+        takes = list(alloc.values())
+        assert takes[:-1] == [available[pool_id] for pool_id in list(alloc)[:-1]]
+        drawn = sum(takes[:-1])
+        assert takes[-1] == amount - drawn or drawn + takes[-1] == amount
+        assert all(take <= available[pool_id] for pool_id, take in alloc.items())
+
     @pytest.mark.parametrize("amount", [0.0, float("nan")])
     def test_amount_must_be_positive(self, amount):
         with pytest.raises(InvalidParams):
@@ -253,6 +288,15 @@ class TestAttackProfit:
         assert not outcome.executed
         assert outcome.net_profit == -15.0
         assert outcome.holdings == {}
+
+    @pytest.mark.parametrize(
+        "field", ["gas_cost", "seizable_collateral", "mintable_debt"]
+    )
+    def test_negative_amounts_rejected(self, attack_plan_raw, field):
+        raw = dict(attack_plan_raw, gas_cost=15.0)
+        raw[field] = -5.0
+        with pytest.raises(InvalidParams, match=">= 0"):
+            load_plan(raw, gas_cost=raw["gas_cost"])
 
     def test_unknown_strategy(self, attack_plan_raw):
         with pytest.raises(InvalidParams):

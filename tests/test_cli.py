@@ -263,6 +263,31 @@ class TestStress:
         assert run("stress", "--config", path, "--out", tmp_path / "o") == 3
         one_stderr_line(capsys, "numeric error:")
 
+    @pytest.mark.parametrize("command", ["stress", "heatmap"])
+    def test_overflowing_margin_exits_3_after_the_debt_is_discharged(
+        self, tmp_path, baseline_config, capsys, recwarn, command
+    ):
+        # Ample liquidity discharges every debt on day 0. The reserve's price
+        # grows by about e a day, so 1e280 reserve units are worth a finite
+        # ~2e282 in the first day block but more than any float by day 100:
+        # a margin overflows only after every entry has stopped. heatmap
+        # re-draws no worst path, so only the ensemble's day blocks see it.
+        cfg = dict(
+            baseline_config,
+            n_paths=200,
+            reserve_quantity=1e280,
+            liquidity_regimes=[{"l0": 1e12, "rho": 0.0}],
+            heatmap={"debt_grid": [1e8, 4e8], "l0_grid": [1e12], "decay_rho": 0.0},
+        )
+        cfg["reserve"] = dict(cfg["reserve"], mu=1.0)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        assert run(command, "--config", path, "--out", out) == 3
+        one_stderr_line(capsys, "numeric error:")
+        assert not out.exists()
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
 
 class TestHeatmap:
     def test_heatmap_csv(self, small_stress_config, tmp_path):
@@ -558,6 +583,10 @@ def bundled(data_dir, fixture, at=(), value=None):
         ("sweep-cost", PLAN, ("tokens_needed",), "nan"),
         ("contagion", MODEL, ("holdings_cap",), "nan"),
         ("attack", PLAN, ("strategies", 1, "name"), "flashloan"),
+        # Negative plan amounts, which would turn a gas cost into a gain.
+        ("attack", PLAN, ("strategies", 0, "gas_cost"), -5),
+        ("attack", PLAN, ("seizable_collateral",), -1),
+        ("attack", PLAN, ("mintable_debt",), -1),
     ],
 )
 def test_malformed_config_exits_2_before_writing(

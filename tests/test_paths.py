@@ -14,9 +14,14 @@ from defi_stress.paths import (
     correlated_path,
     simulate_gbm,
 )
-from defi_stress.protocol import LiquidationSetup, LiquidityModel, liquidate_cells
+from defi_stress.protocol import (
+    LiquidationSetup,
+    LiquidityModel,
+    liquidate_blocks,
+    liquidate_cells,
+)
 from defi_stress.stress import _WorstPaths
-from oracle import philox_increments
+from oracle import philox_increments, whole_chunk
 
 ETH_FIT = GbmParams(p0=223.0, mu=0.001592, sigma=0.050581)
 
@@ -27,7 +32,7 @@ def ensemble(collateral, reserve, rho, horizon_days, n_paths, seed):
     chunks = correlated_chunks(
         collateral, reserve, (rho,), horizon_days, n_paths, seed
     )
-    _, col, res = zip(*chunks)
+    col, res = zip(*(whole_chunk(blocks) for _, blocks in chunks))
     return np.concatenate(col, axis=1), np.concatenate(res, axis=2)[0]
 
 
@@ -76,11 +81,17 @@ class TestIncrements:
 
 def cumsum_prices(params: GbmParams, z: np.ndarray) -> np.ndarray:
     """Day-major prices built with np.cumsum, the reference for the running
-    sum of `_prices_from_shocks`."""
+    sum of `_price_blocks`."""
     drift = params.mu - params.sigma**2 / 2.0
     log_prices = np.zeros((z.shape[0] + 1, z.shape[1]))
     log_prices[1:] = np.cumsum(drift + params.sigma * z, axis=0)
     return params.p0 * np.exp(log_prices)
+
+
+def collateral_prices(params: GbmParams, z: np.ndarray, block_days: int) -> np.ndarray:
+    """`_price_blocks` of one asset's shocks z, its blocks joined."""
+    blocks = paths._price_blocks(params, None, (), z, None, block_days)
+    return np.concatenate([col.copy() for col, _ in blocks])
 
 
 class TestPricesFromShocks:
@@ -89,11 +100,8 @@ class TestPricesFromShocks:
     def test_bit_equal_to_cumsum(self, horizon, width):
         z = np.random.default_rng(horizon * width).standard_normal((horizon, width))
         expected = cumsum_prices(ETH_FIT, z).tobytes()
-        assert paths._prices_from_shocks(ETH_FIT, z).tobytes() == expected
-        prices = np.empty((horizon + 1, width))
-        prices[1:] = z
-        paths._prices_from_shocks(ETH_FIT, prices[1:], prices)
-        assert prices.tobytes() == expected
+        for block_days in (1, paths.DAY_BLOCK, horizon):
+            assert collateral_prices(ETH_FIT, z, block_days).tobytes() == expected
 
     @pytest.mark.parametrize("mu", [1e308, -1e308, 10.0])
     def test_overflow_raises_without_warning(self, mu):
@@ -101,56 +109,76 @@ class TestPricesFromShocks:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericError, match="not finite and > 0"):
-                paths._prices_from_shocks(GbmParams(223.0, mu, 0.05), z)
+                collateral_prices(GbmParams(223.0, mu, 0.05), z, paths.DAY_BLOCK)
 
 
 def full_temporary_prices(collateral, reserve, rhos, horizon, n_paths, seed, start):
     """Day-major collateral and reserve prices of paths start ..
     start + n_paths - 1, each reserve shock formed from whole-chunk
-    temporaries, rho * z_col + sqrt(1 - rho^2) * z_ind: the reference for
-    the day blocks of `_correlated_prices`."""
+    temporaries, rho * z_col + sqrt(1 - rho^2) * z_ind, and every asset
+    priced with np.cumsum over all its days: the reference for the day
+    blocks of `correlated_chunks`."""
     z_col = philox_increments(seed, COLLATERAL, horizon, start + n_paths)[start:].T
     z_ind = philox_increments(seed, RESERVE, horizon, start + n_paths)[start:].T
     reserve_prices = [
-        paths._prices_from_shocks(
-            reserve, rho * z_col + np.sqrt(1.0 - rho**2) * z_ind
-        )
+        cumsum_prices(reserve, rho * z_col + np.sqrt(1.0 - rho**2) * z_ind)
         for rho in rhos
     ]
-    return paths._prices_from_shocks(collateral, z_col), np.stack(reserve_prices)
+    return cumsum_prices(collateral, z_col), np.stack(reserve_prices)
 
 
 class TestCorrelatedPrices:
     RESERVE_FIT = GbmParams(223.0, 0.001592, 0.050581 / 2)
+    B = paths.DAY_BLOCK
 
     @pytest.mark.parametrize(
-        "horizon",
-        [1, paths._SHOCK_DAYS - 1, paths._SHOCK_DAYS, paths._SHOCK_DAYS + 1, 365],
+        "horizon", [1, B - 1, B, B + 1, 4 * B - 1, 4 * B, 4 * B + 1, 365]
     )
     def test_day_blocks_equal_full_temporaries(self, horizon):
         rhos = (-1.0, -0.9, 0.0, 0.5, 1.0)
-        col, res = paths._correlated_prices(
-            ETH_FIT, self.RESERVE_FIT, rhos, horizon, 37, 2**64 + 5, 5
+        shocks = np.empty((2, horizon, 37))
+        blocks = paths._chunk_prices(
+            ETH_FIT, self.RESERVE_FIT, rhos, 2**64 + 5, 5, shocks, self.B
         )
+        col, res = whole_chunk(blocks)
         ref_col, ref_res = full_temporary_prices(
             ETH_FIT, self.RESERVE_FIT, rhos, horizon, 37, 2**64 + 5, 5
         )
         assert col.tobytes() == ref_col.tobytes()
         assert res.tobytes() == ref_res.tobytes()
 
-    @pytest.mark.parametrize("rhos", [(-0.4,), (-0.9, 0.1, 0.9)])
-    def test_memory_is_the_prices_and_one_shock_array(self, traced_peak, rhos):
-        # One chunk holds its collateral prices, its reserve prices per rho
-        # and the independent shocks; the scaled shocks take one day block.
-        paths._correlated_prices(ETH_FIT, self.RESERVE_FIT, rhos, 2, 2, 0, 0)
+    @pytest.mark.parametrize("rhos", [(-0.4,), (-0.9, -0.4, 0.1, 0.5, 0.9)])
+    def test_memory_is_two_shock_arrays_and_one_day_block(self, traced_peak, rhos):
+        # Drawing and liquidating one chunk holds its two shock arrays; the
+        # rest is one day block of prices, the engine's per-entry arrays and
+        # its day caps, none of which is (horizon x paths x rhos) in size.
+        setups = [
+            LiquidationSetup(4e8, LiquidityModel(30_000, 0.01), 1e6),
+            LiquidationSetup(2e8, LiquidityModel(10_000, 0.0), 1e6),
+        ]
         horizon, n_paths = 365, paths.CHUNK_PATHS
-        peak, _ = traced_peak(
-            lambda: paths._correlated_prices(
-                ETH_FIT, self.RESERVE_FIT, rhos, horizon, n_paths, 3, 0
+
+        def one_chunk():
+            ((_, blocks),) = correlated_chunks(
+                ETH_FIT, self.RESERVE_FIT, rhos, horizon, n_paths, seed=3
             )
-        )
-        price_array = (horizon + 1) * n_paths * 8
-        assert peak < (2 + len(rhos)) * price_array + 2**20
+            return liquidate_blocks(setups, blocks, ETH_FIT.p0, horizon + 1)
+
+        peak, (first_neg, _) = traced_peak(one_chunk)
+        assert first_neg.shape == (len(rhos), len(setups), n_paths)
+        shocks = 2 * horizon * n_paths * 8
+        # The day block, (DAY_BLOCK + 1) x (1 + rhos) x paths, its carried
+        # row and its DAY_BLOCK x paths buffer of scaled shocks.
+        block = 2 * (self.B + 1) * (1 + len(rhos)) * n_paths * 8
+        # The engine's 15 arrays of one value per entry (outcomes included),
+        # the copies a compaction makes (at most half as long), its bool
+        # masks and index temporaries.
+        engine = 24 * len(rhos) * len(setups) * n_paths * 8
+        caps = 2 * (horizon + 1) * len(setups) * 8
+        bound = shocks + block + engine + caps + 2**20
+        assert peak < bound
+        # The bound is tight enough to see one more whole price array.
+        assert peak + (horizon + 1) * n_paths * 8 > bound
 
 
 class TestSimulateGbm:

@@ -11,14 +11,15 @@ from defi_stress.protocol import (
     LiquidationSetup,
     LiquidationTrace,
     LiquidityModel,
-    _cell_rows,
     _caps,
     _liquidate,
+    _whole_block,
+    liquidate_blocks,
     liquidate_cells,
     liquidity_at,
     run_liquidation,
 )
-from oracle import margin, scalar_liquidation
+from oracle import margin, scalar_liquidation, whole_chunk
 
 
 def holding(units, debt, liquidity, p0, reserve=0.0):
@@ -174,9 +175,8 @@ class TestLiquidateEnsemble:
     def test_matches_scalar_engine(self):
         col = GbmParams(223.0, -0.001592, 0.050581)
         res = GbmParams(223.0, -0.001592, 0.050581 / 2)
-        ((_, collateral, reserve),) = correlated_chunks(
-            col, res, (0.9,), 60, 200, seed=13
-        )
+        ((_, blocks),) = correlated_chunks(col, res, (0.9,), 60, 200, seed=13)
+        collateral, reserve = whole_chunk(blocks)
         setup = LiquidationSetup(4e8, LiquidityModel(30_000, 0.01), 1e6)
         first_neg, terminal = liquidate_cells([setup], collateral, reserve)
         for k in range(200):
@@ -218,10 +218,8 @@ class TestLiquidationBlock:
     def prices(self):
         col = GbmParams(223.0, -0.001592, 0.050581)
         res = GbmParams(223.0, -0.001592, 0.050581 / 2)
-        ((start, collateral, reserve),) = correlated_chunks(
-            col, res, self.rhos, 60, 40, seed=13
-        )
-        return collateral, reserve
+        ((_, blocks),) = correlated_chunks(col, res, self.rhos, 60, 40, seed=13)
+        return whole_chunk(blocks)
 
     def oracle(self, collateral, reserve, g, r, k):
         return scalar_liquidation(self.setups[r], collateral[:, k], reserve[g, :, k])
@@ -229,7 +227,7 @@ class TestLiquidationBlock:
     def test_every_row_matches_scalar_engine(self):
         collateral, reserve = self.prices()
         history = []
-        _liquidate(*_cell_rows(self.setups, collateral), collateral, reserve, history)
+        _liquidate(*_whole_block(self.setups, collateral, reserve), history)
         traces = {}
         for t, (entries, active, columns) in enumerate(history):
             for i in np.flatnonzero(active):
@@ -260,6 +258,20 @@ class TestLiquidationBlock:
             )
             assert terminal[g, r, k] == expected.terminal_margin
 
+    @pytest.mark.parametrize("block_days", [1, 7, 60, 61])
+    def test_day_blocks_match_one_block(self, block_days):
+        # 61 days, in blocks of block_days days with a shorter last block.
+        collateral, reserve = self.prices()
+        by_day = reserve.transpose(1, 0, 2)
+        blocks = (
+            (collateral[lo : lo + block_days], by_day[lo : lo + block_days])
+            for lo in range(0, len(collateral), block_days)
+        )
+        got = liquidate_blocks(self.setups, blocks, collateral[0, 0], len(collateral))
+        expected = liquidate_cells(self.setups, collateral, reserve)
+        for a, b in zip(got, expected, strict=True):
+            assert a.tobytes() == b.tobytes()
+
     def test_work_follows_the_entries_that_owe_debt(self):
         # Constant prices, one per path, and one cap per row: the debt of
         # row r on path k is discharged after about 1e5 / (l0_r * p_k) days,
@@ -273,8 +285,7 @@ class TestLiquidationBlock:
             np.full((4, 1), 1e4),
             1e6,
             _caps(liquidity, 200),
-            collateral,
-            collateral[None],
+            [(collateral, collateral[:, None])],
             history,
         )
         stepped = live = 0
@@ -300,7 +311,7 @@ class TestLiquidationBlock:
             for l0 in (10.0, 30.0, 100.0, 1e4)
         ]
         history = []
-        _liquidate(*_cell_rows(setups, collateral), collateral, collateral[None], history)
+        _liquidate(*_whole_block(setups, collateral, collateral[None]), history)
         sizes = [len(entries) for entries, _, _ in history]
         assert sum(a > b for a, b in zip(sizes, sizes[1:])) >= 3
         first_neg, terminal = liquidate_cells(setups, collateral, collateral[None])

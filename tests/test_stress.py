@@ -18,7 +18,7 @@ from defi_stress.stress import (
     write_heatmap_csv,
     write_report,
 )
-from oracle import margin, scalar_liquidation, select_worst_path
+from oracle import margin, scalar_liquidation, select_worst_path, whole_chunk
 
 BASELINE_COL = GbmParams(223.0, -0.001592, 0.050581)
 BASELINE_RES = GbmParams(223.0, -0.001592, 0.050581 / 2)
@@ -135,6 +135,36 @@ class TestRunScenario:
         for other in outputs[1:]:
             assert other == outputs[0]
 
+    def test_outputs_byte_identical_across_day_blocks(self, monkeypatch, tmp_path):
+        config = small_config(
+            n_paths=150,
+            debt_levels=(1e8, 4e8),
+            liquidity_regimes=(
+                LiquidityModel(30_000, 0.0),
+                LiquidityModel(10_000, 0.01),
+            ),
+        )
+        outputs = []
+        # One day at a time, the default, a last block of one day (100 days
+        # of shocks), and every day in one block.
+        for block_days in (1, paths.DAY_BLOCK, 99, 100):
+            monkeypatch.setattr(paths, "DAY_BLOCK", block_days)
+            out = tmp_path / str(block_days)
+            write_report(run_scenario(config), out)
+            sweep = correlation_sweep(config, [-0.5, 0.9])
+            for rho, report in sweep.items():
+                write_report(report, out / f"rho{rho:g}")
+            outputs.append(
+                {
+                    str(p.relative_to(out)): p.read_bytes()
+                    for p in out.rglob("*")
+                    if p.is_file()
+                }
+            )
+        assert len(outputs[0]) == 3 * 5
+        for other in outputs[1:]:
+            assert other == outputs[0]
+
     def test_worst_paths_match_whole_ensemble_selection(self, monkeypatch):
         config = small_config(
             n_paths=300,
@@ -148,9 +178,10 @@ class TestRunScenario:
         report = run_scenario(config)
         # The whole ensemble as one chunk, every cell liquidated at once.
         monkeypatch.setattr(paths, "CHUNK_PATHS", config.n_paths)
-        ((_, collateral, reserve),) = correlated_chunks(
+        ((_, blocks),) = correlated_chunks(
             BASELINE_COL, BASELINE_RES, (0.9,), 100, 300, seed=42
         )
+        collateral, reserve = whole_chunk(blocks)
         first_neg, terminal = liquidate_cells(config.setups(), collateral, reserve)
         for row, cell in enumerate(report.cells):
             assert (cell.worst_path_index, cell.first_negative_day) == (
