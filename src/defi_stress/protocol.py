@@ -155,14 +155,15 @@ def _liquidate(
     all: each a pair of day-major collateral prices, (days, paths), and
     reserve prices, (days, groups, paths). Every row runs against every
     group's reserve prices, so the block has shape (groups, rows, paths).
+    Prices are taken to be > 0, as `paths` checks each one it builds.
 
     Each day t the protocol sells u_t = min(L(t), collateral left,
     debt left / price) on every entry whose debt is outstanding; proceeds
     retire debt one-for-one at the day's price (no price impact). The margin
     is the plain post-sale buffer collateral + reserve - debt. An entry
-    stops once its debt is discharged, and the day loop once every entry has
-    stopped; the remaining day blocks are still drawn, so every price is
-    checked where it is built and bounded by `_bounded_days`.
+    stops once its debt is discharged. Every day block is drawn, even once
+    every entry has stopped, so every price is checked where it is built
+    and bounded by `_bounded_days`.
 
     Returns (first_negative_day, terminal_margin), each of shape (groups,
     rows, paths). An entry's first negative day is the first day its margin
@@ -170,20 +171,31 @@ def _liquidate(
     margin on its last active day: the day its debt is discharged, or the
     last day of the horizon.
 
-    The block is held as flat per-entry arrays, in block order. A stopped
-    entry owes nothing, so it sells min(cap, coll, 0) = 0 and is carried
-    along unchanged until the live entries are half the current length or
-    fewer; then the stopped ones are dropped, keeping the order. So a day
-    costs at most twice its live entries, and every day's prices and caps
-    are gathered per entry.
+    The block is held as flat per-entry arrays, in block order; an entry is
+    selling while it owes debt and holds collateral. One that has stopped
+    sells min(cap, coll, 0) = 0 and is carried along unchanged until the
+    selling entries are half the current length or fewer; then only the
+    selling ones are kept, in order. So a day costs at most twice the
+    entries still selling, and every day's prices and caps are gathered per
+    entry. An entry that is stuck, out of collateral while it still owes,
+    sells min(cap, 0, debt / price) = 0 from then on: its debt is fixed and
+    its margin is 0 * price + reserve value - debt, which is reserve value -
+    debt bit for bit. So when the others are dropped, the stuck ones are
+    taken out of the loop. Those whose margin has not turned negative form
+    a watch, re-formed at each drop: each watched entry costs a gather, a
+    subtraction and a comparison a day. The others cost nothing until the
+    last day, which gives every stuck entry's terminal margin.
 
     If history is a list, each day appends (entries, active, columns) to it:
     the flat block indices of the current entries, a mask of those whose
     debt was outstanding that morning, and a (7, entries) array holding per
     entry the collateral price, reserve price, units sold, proceeds, debt
-    left, collateral left and margin, in LiquidationTrace's column order. A
-    zero price raises FloatingPointError instead of warning, and a day block
-    whose margins could overflow raises NumericError before its first day.
+    left, collateral left and margin, in LiquidationTrace's column order.
+    A trace needs each of those rows every day, so stuck entries then stay
+    among the selling ones; that is the only difference between the two
+    modes. A zero price met by an entry that sells raises
+    FloatingPointError instead of warning, and a day block whose margins
+    could overflow raises NumericError before its first day.
     """
     days = _bounded_days(blocks, float(coll0.max()), reserve)
     first_day = next(days)
@@ -201,31 +213,51 @@ def _liquidate(
     discharge_floor = (_DEBT_EPS * debt0)[row, 0]
     first_neg = np.full(m, -1, dtype=np.int64)
     terminal = np.empty(m)
-    active = np.ones(m, dtype=bool)
-    discharged = np.empty(m, dtype=bool)
+    active, owing, stopped = (np.ones(m, dtype=bool) for _ in range(3))
+    # p_res is written only for history.
     p_col, p_res, u, proceeds, margin, reserve_value = (np.empty(m) for _ in range(6))
+    # Each day's reserve value per (group, path), gathered per entry.
+    day_value = np.empty((n_groups, n_paths))
+    # Stuck entries' (block index, group_path, debt): all of them, and the
+    # watched ones, whose margin had not turned negative when entries were
+    # last dropped. The watch is re-formed only then: doing so each day an
+    # entry turns negative re-allocates it, and that raised peak RSS.
+    stuck = watched = (entries[:0], group_path[:0], debt[:0])
     # debt / price may overflow to inf; the min() with the cap discards it.
     with np.errstate(divide="raise", invalid="raise", over="ignore"):
         for t, (day_col, day_res) in enumerate(itertools.chain([first_day], days)):
+            np.multiply(reserve, day_res, out=day_value)
+            if len(watched[0]):
+                watch_entries, watch_group_path, watch_debt = watched
+                value = day_value.take(watch_group_path)
+                np.subtract(value, watch_debt, out=value)
+                negative = watch_entries[value < 0.0]
+                first_neg[negative[first_neg[negative] < 0]] = t
+            if t == n_days - 1 and len(stuck[0]):
+                stuck_entries, stuck_group_path, stuck_debt = stuck
+                terminal[stuck_entries] = day_value.take(stuck_group_path) - stuck_debt
+            if not m:
+                continue
             # mode="clip" writes straight into out; every index is in range.
-            np.take(day_col, path, out=p_col, mode="clip")
-            np.take(day_res, group_path, out=p_res, mode="clip")
-            np.take(caps[t, :, 0], row, out=u, mode="clip")
+            day_col.take(path, out=p_col, mode="clip")
+            day_value.take(group_path, out=reserve_value, mode="clip")
+            caps[t, :, 0].take(row, out=u, mode="clip")
             np.minimum(u, coll, out=u)
             np.divide(debt, p_col, out=proceeds)
             np.minimum(u, proceeds, out=u)
             np.multiply(u, p_col, out=proceeds)
             np.subtract(debt, proceeds, out=debt)
-            np.maximum(debt, 0.0, out=debt)
-            np.less_equal(debt, discharge_floor, out=discharged)
-            np.logical_and(discharged, active, out=discharged)
-            np.copyto(debt, 0.0, where=discharged)
+            # A stopped entry holds debt 0 and the floor is >= 0, so the
+            # entries that owe are among the active ones.
+            np.greater(debt, discharge_floor, out=owing)
+            np.logical_xor(active, owing, out=stopped)
+            np.copyto(debt, 0.0, where=stopped)
             np.subtract(coll, u, out=coll)
             np.multiply(coll, p_col, out=margin)
-            np.multiply(reserve, p_res, out=reserve_value)
             np.add(margin, reserve_value, out=margin)
             np.subtract(margin, debt, out=margin)
             if history is not None:
+                day_res.take(group_path, out=p_res, mode="clip")
                 columns = (p_col, p_res, u, proceeds, debt, coll, margin)
                 history.append((entries, active.copy(), np.array(columns)))
             # Few entries turn negative or stop on one day, so only theirs
@@ -233,16 +265,24 @@ def _liquidate(
             negative = entries[(margin < 0.0) & active]
             negative = negative[first_neg[negative] < 0]
             first_neg[negative] = t
-            last = np.flatnonzero(active if t == n_days - 1 else discharged)
+            last = (active if t == n_days - 1 else stopped).nonzero()[0]
             terminal[entries[last]] = margin[last]
-            np.logical_xor(active, discharged, out=active)
-            live = np.count_nonzero(active)
+            active, owing = owing, active
+            selling = active
+            if history is None:
+                selling = np.greater(coll, 0.0, out=stopped)
+                np.logical_and(selling, active, out=selling)
+            live = np.count_nonzero(selling)
             if 2 * live > m:
                 continue
-            if live == 0:
-                break
-            # Drop the stopped entries, in order, and shrink every buffer.
-            keep = np.flatnonzero(active)
+            if history is None:
+                # Those that owe but do not sell are stuck.
+                idle = np.logical_xor(active, selling, out=owing).nonzero()[0]
+                idle = (entries[idle], group_path[idle], debt[idle])
+                stuck = tuple(map(np.concatenate, zip(stuck, idle)))
+                watched = tuple(a[first_neg[stuck[0]] < 0] for a in stuck)
+            # Keep the selling entries, in order, and shrink every buffer.
+            keep = selling.nonzero()[0]
             per_entry = (entries, path, row, group_path, debt, coll, discharge_floor)
             entries, path, row, group_path, debt, coll, discharge_floor = (
                 a[keep] for a in per_entry
@@ -250,12 +290,8 @@ def _liquidate(
             m = live
             buffers = (p_col, p_res, u, proceeds, margin, reserve_value)
             p_col, p_res, u, proceeds, margin, reserve_value = (b[:m] for b in buffers)
-            active, discharged = active[:m], discharged[:m]
+            active, owing, stopped = active[:m], owing[:m], stopped[:m]
             active[...] = True
-    # Every entry has stopped: the remaining days are still drawn and
-    # bounded, so every price is checked.
-    for _ in days:
-        pass
     return first_neg.reshape(shape), terminal.reshape(shape)
 
 
@@ -308,31 +344,67 @@ def _whole_block(
     return *_cell_rows(setups, p0, n_days), [block]
 
 
+def trace_cells(
+    setups: Sequence[LiquidationSetup],
+    collateral_prices: np.ndarray,
+    reserve_prices: np.ndarray,
+) -> list[LiquidationTrace]:
+    """The trace of setup r against path r, for every setup, from one
+    engine call: every day until that debt is discharged or the path ends.
+
+    collateral_prices is day-major, (days, len(setups)), and reserve_prices
+    (1, days, len(setups)). Every position opens at the first path's day-0
+    price, as in `liquidate_cells`. The setups run against every path as
+    one (1, setups, paths) block, and each trace is read off the block's
+    diagonal, so history holds at most 7 x setups^2 floats a day.
+    """
+    n = len(setups)
+    if np.shape(collateral_prices)[1:] != (n,) or np.shape(reserve_prices)[:1] != (1,):
+        raise InvalidParams("traces need one path per setup and one reserve group")
+    history = []
+    first_neg, _ = _liquidate(
+        *_whole_block(setups, collateral_prices, reserve_prices), history
+    )
+    # Entry (0, r, r) of the block has flat index r * (n + 1).
+    cells, columns = [], []
+    for entries, active, values in history:
+        diagonal = (active & (entries % (n + 1) == 0)).nonzero()[0]
+        cells.append(entries[diagonal] // (n + 1))
+        columns.append(values[:, diagonal])
+    cells = np.concatenate(cells)
+    # A stable sort keeps each trace's days in order.
+    order = np.argsort(cells, kind="stable")
+    columns = np.concatenate(columns, axis=1)[:, order]
+    ends = np.cumsum(np.bincount(cells, minlength=n)).tolist()
+    traces = []
+    for r, (lo, hi) in enumerate(zip([0] + ends, ends)):
+        day = first_neg[0, r, r].item()
+        traces.append(
+            LiquidationTrace(
+                list(range(hi - lo)),
+                *columns[:, lo:hi].tolist(),
+                first_negative_day=None if day < 0 else day,
+            )
+        )
+    return traces
+
+
 def run_liquidation(
     setup: LiquidationSetup,
     collateral_path: Sequence[float],
     reserve_path: Sequence[float],
 ) -> LiquidationTrace:
     """Sell collateral day by day against one simulated price path and
-    record every day until the debt is discharged or the path ends. The
-    position opens at the path's first price; one that is not finite and
-    > 0 is InvalidParams, as is an empty path."""
-    history = []
-    first_neg, _ = _liquidate(
-        *_whole_block(
-            [setup],
-            np.asarray(collateral_path, dtype=float).reshape(-1, 1),
-            np.asarray(reserve_path, dtype=float).reshape(1, -1, 1),
-        ),
-        history,
+    record every day until the debt is discharged or the path ends: the
+    one-cell case of `trace_cells`. The position opens at the path's first
+    price; one that is not finite and > 0 is InvalidParams, as is an empty
+    path."""
+    (trace,) = trace_cells(
+        [setup],
+        np.asarray(collateral_path, dtype=float).reshape(-1, 1),
+        np.asarray(reserve_path, dtype=float).reshape(1, -1, 1),
     )
-    columns = np.concatenate([values for *_, values in history], axis=1).tolist()
-    first_neg = first_neg.item()
-    return LiquidationTrace(
-        list(range(len(history))),
-        *columns,
-        first_negative_day=None if first_neg < 0 else first_neg,
-    )
+    return trace
 
 
 def liquidate_cells(

@@ -10,7 +10,8 @@ One pipeline serves every entry point. The ensemble is drawn in chunks of
 regime) row is liquidated in one block, each day block as soon as it is
 built, and each row keeps only its running worst path. So memory holds one
 chunk's shocks and one day block, however many paths and correlations
-there are. A worst path's trace comes from re-drawing that one path.
+there are. The worst paths of each correlation are then re-drawn one by
+one and traced together, in one engine call (`protocol.trace_cells`).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .protocol import (
     LiquidationTrace,
     LiquidityModel,
     liquidate_blocks,
-    run_liquidation,
+    trace_cells,
 )
 
 CONFIG_SCHEMA = "stress-config/1"
@@ -206,10 +207,9 @@ def _reports(config: ScenarioConfig, rhos: Sequence[float]) -> list[StressReport
     worst = _worst_paths(config, rhos)
     reports = []
     for group, rho in enumerate(rhos):
-        cells = []
-        for row, setup in enumerate(setups):
-            idx, day, min_terminal = worst.cell(group, row)
-            collateral_path, reserve_path = correlated_path(
+        rows = [worst.cell(group, row) for row in range(len(setups))]
+        worst_prices = [
+            correlated_path(
                 config.collateral_params,
                 config.reserve_params,
                 rho,
@@ -217,18 +217,24 @@ def _reports(config: ScenarioConfig, rhos: Sequence[float]) -> list[StressReport
                 config.seed,
                 idx,
             )
-            trace = run_liquidation(setup, collateral_path, reserve_path)
-            cells.append(
-                CellResult(
-                    debt=setup.debt,
-                    liquidity=setup.liquidity,
-                    worst_path_index=idx,
-                    first_negative_day=day,
-                    terminal_margin=trace.terminal_margin,
-                    min_terminal_margin=min_terminal,
-                    trace=trace,
-                )
+            for idx, _, _ in rows
+        ]
+        collateral, reserve = (np.stack(p, axis=-1) for p in zip(*worst_prices))
+        # No new NumericError: the ensemble pass bounded every day and path
+        # of these prices with the same setups, so the same coll0.max().
+        traces = trace_cells(setups, collateral, reserve[None])
+        cells = [
+            CellResult(
+                debt=setup.debt,
+                liquidity=setup.liquidity,
+                worst_path_index=idx,
+                first_negative_day=day,
+                terminal_margin=trace.terminal_margin,
+                min_terminal_margin=min_terminal,
+                trace=trace,
             )
+            for setup, (idx, day, min_terminal), trace in zip(setups, rows, traces)
+        ]
         reports.append(
             StressReport(
                 seed=config.seed,

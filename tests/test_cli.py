@@ -263,6 +263,35 @@ class TestStress:
         assert run("stress", "--config", path, "--out", tmp_path / "o") == 3
         one_stderr_line(capsys, "numeric error:")
 
+    @pytest.mark.parametrize(
+        "command, collateral_ratio",
+        [("stress", 1.5), ("heatmap", 1.5), ("heatmap", 0.5)],
+        ids=["stress", "heatmap", "heatmap_stuck"],
+    )
+    def test_underflowed_price_in_a_later_block_exits_3(
+        self, tmp_path, baseline_config, capsys, command, collateral_ratio
+    ):
+        # A drift of -8 a day takes the collateral price to exactly 0 near
+        # day 94, many day blocks in. Ample liquidity discharges every debt
+        # on day 0 at a ratio of 1.5; at 0.5 every entry sells all its
+        # collateral on day 0 and owes debt from then on, so only the watch
+        # of stuck entries runs. Either way no entry sells when the zero
+        # price is built, and heatmap re-draws no worst path.
+        cfg = dict(
+            baseline_config,
+            n_paths=200,
+            collateral_ratio=collateral_ratio,
+            liquidity_regimes=[{"l0": 1e12, "rho": 0.0}],
+            heatmap={"debt_grid": [1e8, 4e8], "l0_grid": [1e12], "decay_rho": 0.0},
+        )
+        cfg["collateral"] = dict(cfg["collateral"], mu=-8, sigma=0.01)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        assert run(command, "--config", path, "--out", out) == 3
+        one_stderr_line(capsys, "numeric error:")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["stress", "heatmap"])
     def test_overflowing_margin_exits_3_after_the_debt_is_discharged(
         self, tmp_path, baseline_config, capsys, recwarn, command

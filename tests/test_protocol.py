@@ -18,6 +18,7 @@ from defi_stress.protocol import (
     liquidate_cells,
     liquidity_at,
     run_liquidation,
+    trace_cells,
 )
 from oracle import margin, scalar_liquidation, whole_chunk
 
@@ -167,6 +168,65 @@ class TestRunLiquidation:
         trace = run_liquidation(setup, path, path)
         assert trace.debt_remaining[0] == 0.0
         assert trace.first_negative_day is None
+
+
+class TestTraceCells:
+    """Every cell's trace against its own path from one engine call."""
+
+    # Debt 1e5 at price 100. With ample liquidity the debt is discharged on
+    # day 0; with a cap of 100 units a day, on about day 10; 500 units sold
+    # 50 a day run out on day 9, owing the rest; 1 unit a day never
+    # discharges it in 40 days.
+    setups = (
+        holding(2000.0, 1e5, LiquidityModel(1e7), 100.0, 100.0),
+        holding(2000.0, 1e5, LiquidityModel(100.0), 100.0, 100.0),
+        holding(500.0, 1e5, LiquidityModel(50.0), 100.0, 100.0),
+        holding(5000.0, 1e5, LiquidityModel(1.0), 100.0, 100.0),
+    )
+
+    def prices(self):
+        # Path r falls r % a day from 100; the reserve price 1 % a day.
+        days = np.arange(40)[:, None]
+        collateral = 100.0 * (1.0 - np.arange(4) / 100.0) ** days
+        reserve = np.tile(100.0 * 0.99**days, (1, 4))
+        return collateral, reserve[None]
+
+    def test_traces_equal_run_liquidation(self):
+        collateral, reserve = self.prices()
+        traces = trace_cells(self.setups, collateral, reserve)
+        expected = [
+            run_liquidation(setup, collateral[:, r], reserve[0, :, r])
+            for r, setup in enumerate(self.setups)
+        ]
+        assert traces == expected
+        # Same arithmetic in the same order as the scalar loop, too.
+        assert expected == [
+            scalar_liquidation(setup, collateral[:, r], reserve[0, :, r])
+            for r, setup in enumerate(self.setups)
+        ]
+        day_zero, late, stuck, never = expected
+        assert len(day_zero) == 1 and day_zero.debt_remaining[-1] == 0.0
+        assert len(late) > 1 and late.debt_remaining[-1] == 0.0
+        assert len(stuck) == len(never) == 40
+        assert stuck.collateral_remaining[-1] == 0.0 < stuck.debt_remaining[-1]
+        assert never.collateral_remaining[-1] > 0.0 < never.debt_remaining[-1]
+        assert stuck.first_negative_day is not None
+
+    def test_cells_may_share_a_path(self):
+        collateral, reserve = self.prices()
+        same = [0, 3, 3, 0]
+        traces = trace_cells(self.setups, collateral[:, same], reserve[:, :, same])
+        assert traces == [
+            run_liquidation(setup, collateral[:, k], reserve[0, :, k])
+            for setup, k in zip(self.setups, same)
+        ]
+
+    def test_one_path_per_setup(self):
+        collateral, reserve = self.prices()
+        with pytest.raises(InvalidParams):
+            trace_cells(self.setups[:3], collateral, reserve)
+        with pytest.raises(InvalidParams):
+            trace_cells(self.setups, collateral, np.concatenate([reserve] * 2))
 
 
 class TestLiquidateEnsemble:
@@ -323,6 +383,61 @@ class TestLiquidationBlock:
             expected_day = expected.first_negative_day
             assert day == (-1 if expected_day is None else expected_day)
             assert terminal[g, r, k] == expected.terminal_margin
+
+    @pytest.mark.parametrize("reserve_units", [0.0, 10.0])
+    def test_stuck_entries_match_scalar_engine(self, reserve_units):
+        # Constant collateral prices 100, 110, ..., 170, and 64 collateral
+        # units against a debt of 1e4: every row sells its cap a day until
+        # its collateral runs out, on day 0, 3, 10, 25 or 58 (row 5 never
+        # does), owing what the sales left unpaid; at 160 and 170 the sales
+        # discharge the debt instead. The reserve price is 1000 until day
+        # 29; then it falls 10 % a day on paths 0-2 and 4, to 1 on the last
+        # day only on path 3, and never on paths 5-7. With reserve units,
+        # stuck entries first turn negative days after they stop selling,
+        # on the last day, or never; without, at once.
+        n_days = 60
+        prices = 100.0 * (1.0 + np.arange(8) / 10.0)
+        collateral = np.tile(prices, (n_days, 1))
+        reserve = np.full((1, n_days, 8), 1000.0)
+        falls = 0.9 ** np.arange(1, n_days - 29)[:, None]
+        reserve[0, 30:, [0, 1, 2, 4]] = (1000.0 * falls).T
+        reserve[0, -1, 3] = 1.0
+        setups = [
+            holding(64.0, 1e4, LiquidityModel(l0), 100.0, reserve_units)
+            for l0 in (64.0, 16.0, 6.0, 2.5, 1.1, 0.5)
+        ]
+        expected = {
+            (r, k): scalar_liquidation(
+                setups[r], collateral[:, k], reserve[0, :, k], p0=100.0
+            )
+            for r in range(6)
+            for k in range(8)
+        }
+        stuck = {
+            cell: (trace.collateral_remaining.index(0.0), trace.first_negative_day)
+            for cell, trace in expected.items()
+            if trace.debt_remaining[-1] > 0.0 and 0.0 in trace.collateral_remaining
+        }
+        assert len({day for day, _ in stuck.values()}) == 5
+        if reserve_units:
+            first_neg = [neg for _, neg in stuck.values()]
+            assert any(day < neg - 1 for day, neg in stuck.values() if neg)
+            assert n_days - 1 in first_neg and None in first_neg
+        else:
+            assert all(neg == 0 for _, neg in stuck.values())
+        by_day = reserve.transpose(1, 0, 2)
+        runs = [liquidate_cells(setups, collateral, reserve)]
+        for block_days in (1, 7):
+            blocks = (
+                (collateral[lo : lo + block_days], by_day[lo : lo + block_days])
+                for lo in range(0, n_days, block_days)
+            )
+            runs.append(liquidate_blocks(setups, blocks, 100.0, n_days))
+        for first_neg, terminal in runs:
+            for (r, k), trace in expected.items():
+                day = trace.first_negative_day
+                assert first_neg[0, r, k] == (-1 if day is None else day), (r, k)
+                assert terminal[0, r, k] == trace.terminal_margin, (r, k)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())

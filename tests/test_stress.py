@@ -220,7 +220,7 @@ class TestHeatmap:
             for d in debts
         ]
         calls = []
-        monkeypatch.setattr(stress, "run_liquidation", lambda *a: calls.append(a))
+        monkeypatch.setattr(stress, "trace_cells", lambda *a: calls.append(a))
         assert heatmap(config) == expected
         assert calls == []
 
