@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import __version__, attack, contagion, marketdata, stress
 from .errors import InputError, NumericError, SchemaError, check_schema
-from .errors import as_bool, as_int, as_list, as_pair, as_str
+from .errors import as_bool, as_float, as_int, as_list, as_pair, as_str
 from .manifest import write_json, write_manifest
 
 log = logging.getLogger("defi_stress")
@@ -73,8 +73,9 @@ def _heatmap_scenario(raw: dict, args: argparse.Namespace) -> stress.ScenarioCon
     decay_rho = spec.get("decay_rho")
     if decay_rho is None:
         decay_rho = raw["liquidity_regimes"][0].get("rho", 0.0)
+    decay_rho = as_float(decay_rho, "decay_rho")
     grid = [
-        {"l0": float(l0), "rho": float(decay_rho)}
+        {"l0": as_float(l0, "l0"), "rho": decay_rho}
         for l0 in as_list(spec["l0_grid"], "l0_grid")
     ]
     debt_grid = as_list(spec["debt_grid"], "debt_grid")
@@ -94,26 +95,32 @@ def _books(raw: dict) -> tuple[attack.OrderBookSnapshot, ...]:
 def _attack_plans(raw: dict) -> dict[str, attack.AttackPlan]:
     """{strategy name: plan} of an attack plan config's strategies, whose
     names must differ."""
+
+    def number(fields: dict, key: str) -> float:
+        return as_float(fields[key], key)
+
     base = dict(
-        tokens_needed=float(raw["tokens_needed"]),
+        tokens_needed=number(raw, "tokens_needed"),
         books=_books(raw),
         flash_pools=tuple(
             attack.FlashPool(
-                as_str(p["pool"], "pool"), float(p["available"]), float(p["fee_rate"])
+                as_str(p["pool"], "pool"),
+                number(p, "available"),
+                number(p, "fee_rate"),
             )
             for p in as_list(raw["flash_pools"], "flash_pools")
         ),
-        seizable_collateral=float(raw["seizable_collateral"]),
-        mintable_debt=float(raw["mintable_debt"]),
-        governance_token_price=float(raw["governance_token_price"]),
-        loan_currency_price=float(raw["loan_currency_price"]),
+        seizable_collateral=number(raw, "seizable_collateral"),
+        mintable_debt=number(raw, "mintable_debt"),
+        governance_token_price=number(raw, "governance_token_price"),
+        loan_currency_price=number(raw, "loan_currency_price"),
     )
     plans = {}
     for s in as_list(raw["strategies"], "strategies"):
         name = as_str(s["name"], "strategy name")
         if name in plans:
             raise SchemaError(f"strategy {name!r} is named twice")
-        plans[name] = attack.AttackPlan(gas_cost=float(s["gas_cost"]), **base)
+        plans[name] = attack.AttackPlan(gas_cost=number(s, "gas_cost"), **base)
     return plans
 
 
@@ -122,7 +129,7 @@ def _contagion(raw: dict, args: argparse.Namespace) -> tuple:
     contagion model config. The market snapshot is read and summed here."""
     seed = as_int(raw.get("seed", 0) if args.seed is None else args.seed, "seed")
     n_protocols = as_int(raw.get("n_protocols", 1), "n_protocols")
-    total_debt = float(raw.get("total_debt", 0))
+    total_debt = as_float(raw.get("total_debt", 0), "total_debt")
     n_samples = as_int(raw.get("n_samples", 100_000), "n_samples")
     models = [
         contagion.CompositionModel(
@@ -142,12 +149,12 @@ def _contagion(raw: dict, args: argparse.Namespace) -> tuple:
         sweepable["sweepable_unlimited"] = contagion.sweepable_total(snapshot)
         if raw.get("holdings_cap") is not None:
             sweepable["sweepable_capped"] = contagion.sweepable_total(
-                snapshot, float(raw["holdings_cap"])
+                snapshot, as_float(raw["holdings_cap"], "holdings_cap")
             )
     scenarios = [
         contagion.DamageScenario(
-            s["label"],
-            float(s["loss"]),
+            as_str(s["label"], "label"),
+            as_float(s["loss"], "loss"),
             as_bool(s.get("lower_bound", False), "lower_bound"),
         )
         for s in as_list(raw.get("damage_scenarios", []), "damage_scenarios")
@@ -193,7 +200,9 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
 
 def cmd_sweep_cost(args: argparse.Namespace) -> int:
     (books, target), config_bytes = _config(
-        args, PLAN_SCHEMA, lambda raw: (_books(raw), float(raw["tokens_needed"]))
+        args,
+        PLAN_SCHEMA,
+        lambda raw: (_books(raw), as_float(raw["tokens_needed"], "tokens_needed")),
     )
     result = attack.sweep_cost(books, target)
     report = {

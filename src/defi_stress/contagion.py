@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidParams, InvalidRange, ParseError
+from .errors import InvalidParams, InvalidRange
 from .marketdata import read_csv_rows
 
 
@@ -169,18 +169,6 @@ def damage_table(scenarios: list[DamageScenario]) -> str:
     for s in scenarios:
         writer.writerow([s.label, f"{s.loss:g}", str(s.lower_bound).lower()])
     return buf.getvalue()
-
-
-def parse_damage_table(text: str) -> list[DamageScenario]:
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header != DAMAGE_HEADER:
-        raise ParseError(f"expected header {','.join(DAMAGE_HEADER)}")
-    return [
-        DamageScenario(row[0], float(row[1]), row[2] == "true")
-        for row in reader
-        if row
-    ]
 
 
 # Rows joined into one string per write: fast, and memory stays bounded.

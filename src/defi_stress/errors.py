@@ -95,7 +95,15 @@ def as_pair(value, name: str) -> tuple[float, float]:
     pair = as_list(value, name)
     if len(pair) != 2:
         raise SchemaError(f"{name} must hold 2 numbers, got {len(pair)}")
-    return float(pair[0]), float(pair[1])
+    return as_float(pair[0], name), as_float(pair[1], name)
+
+
+def as_float(value, name: str) -> float:
+    """A number config field: a number or a numeric string. A bool, which
+    float() would read as 1.0 or 0.0, is a SchemaError."""
+    if isinstance(value, bool):
+        raise SchemaError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 def as_int(value, name: str) -> int:

@@ -21,10 +21,11 @@ chunk's memory is its shocks plus one day block, whatever the number of
 correlations. `simulate_gbm` prices its days as one block and returns a
 transposed view, with shape (paths, days).
 
-Because path k depends only on its key, a correlated ensemble is drawn in
-chunks of CHUNK_PATHS paths (`correlated_chunks`), and any single path can
-be re-drawn on its own (`correlated_path`) with the same bits, whatever the
-chunking or the block size.
+Because path k depends only on its key, one routine draws paths by index:
+a correlated ensemble is drawn in chunks of CHUNK_PATHS consecutive paths
+(`correlated_chunks`), and any set of paths, such as the worst paths of a
+report, is re-drawn as one block (`correlated_paths`) with the same bits,
+whatever the chunking or the block size.
 """
 
 from __future__ import annotations
@@ -73,38 +74,30 @@ class GbmParams:
             raise InvalidParams("volatility must be >= 0")
 
 
-def _increments(
-    seed: int,
-    asset_index: int,
-    horizon_days: int,
-    n_paths: int,
-    start: int = 0,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Standard-normal daily shocks, day-major: shape (horizon_days, n_paths),
-    written to out if given, else to a new array.
+def _increments(seed: int, asset: int, ks: Sequence[int], out: np.ndarray) -> None:
+    """Standard-normal daily shocks of paths ks, day-major, into out, of
+    shape (horizon_days, len(ks)).
 
-    Column j is the stream of path k = start + j, that of a fresh Philox
-    keyed on (seed mod 2**64, k << 1 | asset_index). One bit generator is
-    reset to each path's key and to the counter and buffer a fresh one
-    starts with, and draws into one row of a (_TILE_PATHS, horizon_days)
-    tile; each tile of paths is then copied, transposed, into z.
+    Column j is the stream of path ks[j], that of a fresh Philox keyed on
+    (seed mod 2**64, ks[j] << 1 | asset). One bit generator is reset to
+    each path's key and to the counter and buffer a fresh one starts with,
+    and draws into one row of a (_TILE_PATHS, horizon_days) tile; each
+    tile of paths is then copied, transposed, into out.
     """
     key = np.array([seed % 2**64, 0], dtype=np.uint64)
     bit_generator = np.random.Philox(key=key)
     generator = np.random.Generator(bit_generator)
     fresh = bit_generator.state
     path_key = fresh["state"]["key"]
-    z = np.empty((horizon_days, n_paths)) if out is None else out
+    horizon_days, n_paths = out.shape
     tile = np.empty((min(_TILE_PATHS, n_paths), horizon_days))
     for lo in range(0, n_paths, _TILE_PATHS):
         rows = tile[: min(_TILE_PATHS, n_paths - lo)]
-        for k, row in enumerate(rows, start + lo):
-            path_key[1] = (k << 1) | asset_index
+        for k, row in zip(ks[lo : lo + len(rows)], rows):
+            path_key[1] = (k << 1) | asset
             bit_generator.state = fresh
             generator.standard_normal(out=row)
-        z[:, lo : lo + len(rows)] = rows.T
-    return z
+        out[:, lo : lo + len(rows)] = rows.T
 
 
 def _price_blocks(
@@ -177,16 +170,15 @@ def _price_blocks(
         yield prices[:, 0], prices[:, 1:]
 
 
-def _check_size(horizon_days: int, n_paths: int) -> None:
+def _check(rhos: Sequence[float], horizon_days: int, n_paths: int) -> None:
+    """InvalidParams unless every rho lies in [-1, 1] and there are a day
+    and a path to draw."""
+    if not all(-1.0 <= rho <= 1.0 for rho in rhos):
+        raise InvalidParams("correlation must lie in [-1, 1]")
     if horizon_days < 1:
         raise InvalidParams("horizon must be >= 1 day")
     if n_paths < 1:
         raise InvalidParams("need at least one path")
-
-
-def _check_rho(rho: float) -> None:
-    if not -1.0 <= rho <= 1.0:
-        raise InvalidParams("correlation must lie in [-1, 1]")
 
 
 def simulate_gbm(
@@ -196,8 +188,9 @@ def simulate_gbm(
     seed: int,
 ) -> np.ndarray:
     """Simulate daily GBM prices; shape (n_paths, horizon_days + 1)."""
-    _check_size(horizon_days, n_paths)
-    z = _increments(seed, COLLATERAL, horizon_days, n_paths)
+    _check((), horizon_days, n_paths)
+    z = np.empty((horizon_days, n_paths))
+    _increments(seed, COLLATERAL, range(n_paths), z)
     ((prices, _),) = _price_blocks(params, None, (), z, None, horizon_days)
     return prices.T
 
@@ -207,16 +200,16 @@ def _chunk_prices(
     reserve: GbmParams,
     rhos: Sequence[float],
     seed: int,
-    start: int,
+    ks: Sequence[int],
     shocks: np.ndarray,
     block_days: int,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """`_price_blocks` of paths start, start + 1, ..., whose collateral and
-    independent shocks are drawn into shocks[0] and shocks[1], each
-    (horizon, paths), when the first block is asked for."""
+    """`_price_blocks` of paths ks, whose collateral and independent shocks
+    are drawn into shocks[0] and shocks[1], each (horizon, len(ks)), when
+    the first block is asked for."""
     z_col, z_ind = shocks
-    _increments(seed, COLLATERAL, *z_col.shape, start, z_col)
-    _increments(seed, RESERVE, *z_ind.shape, start, z_ind)
+    _increments(seed, COLLATERAL, ks, z_col)
+    _increments(seed, RESERVE, ks, z_ind)
     yield from _price_blocks(collateral, reserve, rhos, z_col, z_ind, block_days)
 
 
@@ -240,9 +233,7 @@ def correlated_chunks(
     arrays that every chunk reuses: take a chunk's blocks before the next
     chunk's. The arguments are checked before the first shock is drawn.
     """
-    for rho in rhos:
-        _check_rho(rho)
-    _check_size(horizon_days, n_paths)
+    _check(rhos, horizon_days, n_paths)
     chunk, block_days = CHUNK_PATHS, DAY_BLOCK
 
     def chunks():
@@ -250,31 +241,30 @@ def correlated_chunks(
         # returned to the system and faulted in again for every chunk.
         shocks = np.empty((2, horizon_days, min(chunk, n_paths)))
         for start in range(0, n_paths, chunk):
-            n = min(chunk, n_paths - start)
+            ks = range(start, min(start + chunk, n_paths))
             yield start, _chunk_prices(
-                collateral, reserve, rhos, seed, start, shocks[..., :n], block_days
+                collateral, reserve, rhos, seed, ks, shocks[..., : len(ks)], block_days
             )
 
     return chunks()
 
 
-def correlated_path(
+def correlated_paths(
     collateral: GbmParams,
     reserve: GbmParams,
-    rho: float,
+    rhos: Sequence[float],
     horizon_days: int,
     seed: int,
-    k: int,
+    ks: Sequence[int],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Path k of `correlated_chunks`' ensemble for correlation rho, drawn on
-    its own and priced as one block: the collateral and reserve prices,
-    each of length horizon_days + 1."""
-    _check_rho(rho)
-    _check_size(horizon_days, 1)
-    if k < 0:
+    """Paths ks of `correlated_chunks`' ensemble, drawn on their own and
+    priced as one block for every rho in rhos: the collateral prices,
+    (horizon_days + 1, len(ks)), and the reserve prices, (horizon_days + 1,
+    len(rhos), len(ks)), column j those of path ks[j]. The arguments are
+    checked before the first shock is drawn."""
+    _check(rhos, horizon_days, len(ks))
+    if min(ks) < 0:
         raise InvalidParams("path index must be >= 0")
-    shocks = np.empty((2, horizon_days, 1))
-    ((collateral_prices, reserve_prices),) = _chunk_prices(
-        collateral, reserve, (rho,), seed, k, shocks, horizon_days
-    )
-    return collateral_prices[:, 0], reserve_prices[:, 0, 0]
+    shocks = np.empty((2, horizon_days, len(ks)))
+    (prices,) = _chunk_prices(collateral, reserve, rhos, seed, ks, shocks, horizon_days)
+    return prices

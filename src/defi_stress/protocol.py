@@ -355,8 +355,9 @@ def trace_cells(
     collateral_prices is day-major, (days, len(setups)), and reserve_prices
     (1, days, len(setups)). Every position opens at the first path's day-0
     price, as in `liquidate_cells`. The setups run against every path as
-    one (1, setups, paths) block, and each trace is read off the block's
-    diagonal, so history holds at most 7 x setups^2 floats a day.
+    one (1, setups, paths) block, so history holds at most 7 x setups^2
+    floats a day. Each day's diagonal rows are written into a (7, days,
+    setups) table, and a trace is its setup's column, up to its last day.
     """
     n = len(setups)
     if np.shape(collateral_prices)[1:] != (n,) or np.shape(reserve_prices)[:1] != (1,):
@@ -365,24 +366,22 @@ def trace_cells(
     first_neg, _ = _liquidate(
         *_whole_block(setups, collateral_prices, reserve_prices), history
     )
-    # Entry (0, r, r) of the block has flat index r * (n + 1).
-    cells, columns = [], []
-    for entries, active, values in history:
+    table = np.empty((7, len(history), n))
+    lengths = np.zeros(n, dtype=np.int64)
+    # Entry (0, r, r) of the block has flat index r * (n + 1). A trace's
+    # entry is active from day 0 until its last day, and recorded each day.
+    for t, (entries, active, values) in enumerate(history):
         diagonal = (active & (entries % (n + 1) == 0)).nonzero()[0]
-        cells.append(entries[diagonal] // (n + 1))
-        columns.append(values[:, diagonal])
-    cells = np.concatenate(cells)
-    # A stable sort keeps each trace's days in order.
-    order = np.argsort(cells, kind="stable")
-    columns = np.concatenate(columns, axis=1)[:, order]
-    ends = np.cumsum(np.bincount(cells, minlength=n)).tolist()
+        cells = entries[diagonal] // (n + 1)
+        table[:, t, cells] = values[:, diagonal]
+        lengths[cells] = t + 1
     traces = []
-    for r, (lo, hi) in enumerate(zip([0] + ends, ends)):
+    for r, length in enumerate(lengths.tolist()):
         day = first_neg[0, r, r].item()
         traces.append(
             LiquidationTrace(
-                list(range(hi - lo)),
-                *columns[:, lo:hi].tolist(),
+                list(range(length)),
+                *table[:, :length, r].tolist(),
                 first_negative_day=None if day < 0 else day,
             )
         )

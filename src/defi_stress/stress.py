@@ -10,8 +10,9 @@ One pipeline serves every entry point. The ensemble is drawn in chunks of
 regime) row is liquidated in one block, each day block as soon as it is
 built, and each row keeps only its running worst path. So memory holds one
 chunk's shocks and one day block, however many paths and correlations
-there are. The worst paths of each correlation are then re-drawn one by
-one and traced together, in one engine call (`protocol.trace_cells`).
+there are. The distinct worst paths of every correlation are then re-drawn
+once, as one block (`paths.correlated_paths`), and each correlation's are
+traced together, in one engine call (`protocol.trace_cells`).
 """
 
 from __future__ import annotations
@@ -23,10 +24,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidParams, SchemaError, as_int, as_list, check_schema
+from .errors import InvalidParams, SchemaError, as_float, as_int, as_list, check_schema
 from .manifest import write_json
-from .paths import GbmParams, correlated_chunks, correlated_path
-from .paths import _check_rho, _check_size
+from .paths import GbmParams, _check, correlated_chunks, correlated_paths
 from .protocol import (
     LiquidationSetup,
     LiquidationTrace,
@@ -41,6 +41,14 @@ CONFIG_SCHEMA = "stress-config/1"
 def _trace_name(debt: float, liquidity: LiquidityModel) -> str:
     """The name of a cell's trace CSV in a report directory."""
     return f"trace_debt{debt:g}_l0{liquidity.l0:g}_rho{liquidity.rho:g}.csv"
+
+
+def _numbers(cls, raw: dict):
+    """cls(**raw), each field checked by as_float but passed on as given:
+    a summary writes an integral l0 back as an integer."""
+    for key, value in dict(raw).items():
+        as_float(value, key)
+    return cls(**raw)
 
 
 @dataclass(frozen=True)
@@ -74,29 +82,31 @@ class ScenarioConfig:
                     "6 significant digits"
                 )
             cells[name] = cell
-        _check_size(self.horizon_days, self.n_paths)
-        _check_rho(self.rho_corr)
+        _check((self.rho_corr,), self.horizon_days, self.n_paths)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
         check_schema(raw, CONFIG_SCHEMA)
         try:
             return cls(
-                collateral_params=GbmParams(**raw["collateral"]),
-                reserve_params=GbmParams(**raw["reserve"]),
-                rho_corr=float(raw["rho_corr"]),
+                collateral_params=_numbers(GbmParams, raw["collateral"]),
+                reserve_params=_numbers(GbmParams, raw["reserve"]),
+                rho_corr=as_float(raw["rho_corr"], "rho_corr"),
                 horizon_days=as_int(raw["horizon_days"], "horizon_days"),
                 n_paths=as_int(raw["n_paths"], "n_paths"),
                 seed=as_int(raw["seed"], "seed"),
                 debt_levels=tuple(
-                    float(d) for d in as_list(raw["debt_levels"], "debt_levels")
+                    as_float(d, "debt level")
+                    for d in as_list(raw["debt_levels"], "debt_levels")
                 ),
                 liquidity_regimes=tuple(
-                    LiquidityModel(**r)
+                    _numbers(LiquidityModel, r)
                     for r in as_list(raw["liquidity_regimes"], "liquidity_regimes")
                 ),
-                reserve_quantity=float(raw["reserve_quantity"]),
-                collateral_ratio=float(raw.get("collateral_ratio", 1.5)),
+                reserve_quantity=as_float(raw["reserve_quantity"], "reserve_quantity"),
+                collateral_ratio=as_float(
+                    raw.get("collateral_ratio", 1.5), "collateral_ratio"
+                ),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"bad stress config: {exc}") from exc
@@ -205,24 +215,25 @@ def _reports(config: ScenarioConfig, rhos: Sequence[float]) -> list[StressReport
     every cell, from one pass over the chunks of the ensemble."""
     setups = config.setups()
     worst = _worst_paths(config, rhos)
+    rows = [[worst.cell(g, r) for r in range(len(setups))] for g in range(len(rhos))]
+    # Cells share worst paths: each distinct one is drawn once, for every
+    # rho. np.unique's inverse of a 1-D array is 1-D in every numpy version.
+    ks, columns = np.unique([i for row in rows for i, _, _ in row], return_inverse=True)
+    collateral, reserve = correlated_paths(
+        config.collateral_params,
+        config.reserve_params,
+        rhos,
+        config.horizon_days,
+        config.seed,
+        ks.tolist(),
+    )
     reports = []
-    for group, rho in enumerate(rhos):
-        rows = [worst.cell(group, row) for row in range(len(setups))]
-        worst_prices = [
-            correlated_path(
-                config.collateral_params,
-                config.reserve_params,
-                rho,
-                config.horizon_days,
-                config.seed,
-                idx,
-            )
-            for idx, _, _ in rows
-        ]
-        collateral, reserve = (np.stack(p, axis=-1) for p in zip(*worst_prices))
+    for group, (rho, cols, row) in enumerate(
+        zip(rhos, columns.reshape(len(rhos), -1), rows)
+    ):
         # No new NumericError: the ensemble pass bounded every day and path
         # of these prices with the same setups, so the same coll0.max().
-        traces = trace_cells(setups, collateral, reserve[None])
+        traces = trace_cells(setups, collateral[:, cols], reserve[None, :, group, cols])
         cells = [
             CellResult(
                 debt=setup.debt,
@@ -233,16 +244,9 @@ def _reports(config: ScenarioConfig, rhos: Sequence[float]) -> list[StressReport
                 min_terminal_margin=min_terminal,
                 trace=trace,
             )
-            for setup, (idx, day, min_terminal), trace in zip(setups, rows, traces)
+            for setup, (idx, day, min_terminal), trace in zip(setups, row, traces)
         ]
-        reports.append(
-            StressReport(
-                seed=config.seed,
-                n_paths=config.n_paths,
-                rho_corr=rho,
-                cells=tuple(cells),
-            )
-        )
+        reports.append(StressReport(config.seed, config.n_paths, rho, tuple(cells)))
     return reports
 
 

@@ -616,6 +616,21 @@ def bundled(data_dir, fixture, at=(), value=None):
         ("attack", PLAN, ("strategies", 0, "gas_cost"), -5),
         ("attack", PLAN, ("seizable_collateral",), -1),
         ("attack", PLAN, ("mintable_debt",), -1),
+        # A bool in a number field.
+        ("stress", STRESS, ("rho_corr",), True),
+        ("stress", STRESS, ("debt_levels",), [True, 2e8]),
+        ("stress", STRESS, ("collateral", "p0"), True),
+        ("stress", STRESS, ("reserve_quantity",), False),
+        ("stress", STRESS, ("collateral_ratio",), True),
+        ("stress", STRESS, ("liquidity_regimes",), [{"l0": True}]),
+        ("heatmap", STRESS, ("heatmap", "decay_rho"), True),
+        ("attack", PLAN, ("tokens_needed",), True),
+        ("attack", PLAN, ("strategies", 0, "gas_cost"), True),
+        ("contagion", MODEL, ("total_debt",), True),
+        ("contagion", MODEL, ("holdings_cap",), True),
+        # A damage label that is not a string.
+        ("contagion", MODEL, ("damage_scenarios", 0, "label"), None),
+        ("contagion", MODEL, ("damage_scenarios", 0, "label"), 5),
     ],
 )
 def test_malformed_config_exits_2_before_writing(

@@ -12,7 +12,6 @@ from defi_stress.contagion import (
     MarketSnapshot,
     damage_table,
     max_systemic_loss,
-    parse_damage_table,
     sweepable_total,
     write_loss_csv,
     LossDistribution,
@@ -233,10 +232,6 @@ class TestDamageTable:
 
     def test_empty_list(self):
         assert damage_table([]).splitlines() == ["label,loss_usd,lower_bound"]
-
-    def test_roundtrip(self):
-        text = damage_table(FEB2020_ROWS[:1])
-        assert parse_damage_table(text) == FEB2020_ROWS[:1]
 
 
 def test_loss_csv(tmp_path):

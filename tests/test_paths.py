@@ -11,7 +11,7 @@ from defi_stress.paths import (
     RESERVE,
     GbmParams,
     correlated_chunks,
-    correlated_path,
+    correlated_paths,
     simulate_gbm,
 )
 from defi_stress.protocol import (
@@ -47,13 +47,14 @@ class TestIncrements:
     @pytest.mark.parametrize("seed", [0, 42, 2**64 + 5])
     @pytest.mark.parametrize("horizon", [1, 365])
     def test_matches_one_generator_per_path(self, asset, seed, horizon):
-        z = paths._increments(seed, asset, horizon, 5000)
-        assert z.shape == (horizon, 5000)
+        z = np.empty((horizon, 5000))
+        paths._increments(seed, asset, range(5000), z)
         expected = philox_increments(seed, asset, horizon, 5000)
         assert z.T.tobytes() == expected.tobytes()
 
     def test_offset_selects_later_paths(self):
-        z = paths._increments(7, RESERVE, 30, 20, start=13)
+        z = np.empty((30, 20))
+        paths._increments(7, RESERVE, range(13, 33), z)
         expected = philox_increments(7, RESERVE, 30, 33)[13:]
         assert z.T.tobytes() == expected.tobytes()
 
@@ -70,10 +71,9 @@ class TestIncrements:
     ):
         buffer = np.full((40, n_paths + 7), np.nan)
         out = buffer[5:35, 2 : 2 + n_paths]
-        z = paths._increments(11, RESERVE, 30, n_paths, start, out)
-        assert z is out
+        paths._increments(11, RESERVE, range(start, start + n_paths), out)
         expected = philox_increments(11, RESERVE, 30, start + n_paths)[start:]
-        assert z.T.tobytes() == expected.tobytes()
+        assert out.T.tobytes() == expected.tobytes()
         # Nothing outside the view was written.
         out[:] = np.nan
         assert np.isnan(buffer).all()
@@ -138,7 +138,7 @@ class TestCorrelatedPrices:
         rhos = (-1.0, -0.9, 0.0, 0.5, 1.0)
         shocks = np.empty((2, horizon, 37))
         blocks = paths._chunk_prices(
-            ETH_FIT, self.RESERVE_FIT, rhos, 2**64 + 5, 5, shocks, self.B
+            ETH_FIT, self.RESERVE_FIT, rhos, 2**64 + 5, range(5, 42), shocks, self.B
         )
         col, res = whole_chunk(blocks)
         ref_col, ref_res = full_temporary_prices(
@@ -301,12 +301,33 @@ class TestSimulateCorrelated:
         assert chunked[1].tobytes() == whole[1].tobytes()
 
     def test_one_path_redraw_equals_its_column(self):
+        # Unsorted indices on both sides of a chunk boundary, two rhos.
         reserve = GbmParams(223.0, 0.001592, 0.050581 / 2)
-        col, res = ensemble(ETH_FIT, reserve, -0.4, 30, 5000, seed=2**64 + 5)
-        for k in (0, 1, 2047, 2048, 4999):
-            one_col, one_res = correlated_path(ETH_FIT, reserve, -0.4, 30, 2**64 + 5, k)
-            assert one_col.tobytes() == col[:, k].tobytes()
-            assert one_res.tobytes() == res[:, k].tobytes()
+        rhos, ks = (-0.4, 0.7), [4999, 0, 2048, 1, 2047]
+        col, res = correlated_paths(ETH_FIT, reserve, rhos, 30, 2**64 + 5, ks)
+        assert col.shape == (31, len(ks)) and res.shape == (31, len(rhos), len(ks))
+        for g, rho in enumerate(rhos):
+            whole_col, whole_res = ensemble(ETH_FIT, reserve, rho, 30, 5000, 2**64 + 5)
+            for j, k in enumerate(ks):
+                assert col[:, j].tobytes() == whole_col[:, k].tobytes()
+                assert res[:, g, j].tobytes() == whole_res[:, k].tobytes()
+
+    @pytest.mark.parametrize(
+        "rhos, horizon, ks",
+        [
+            ((0.5,), 30, []),
+            ((0.5,), 30, [3, -1]),
+            ((0.5, 1.5), 30, [3]),
+            ((0.5,), 0, [3]),
+        ],
+        ids=["no_path", "negative_index", "rho_out_of_range", "no_day"],
+    )
+    def test_redraw_rejects_bad_arguments_before_drawing(
+        self, monkeypatch, rhos, horizon, ks
+    ):
+        monkeypatch.setattr(paths, "_increments", None)
+        with pytest.raises(InvalidParams):
+            correlated_paths(ETH_FIT, ETH_FIT, rhos, horizon, 0, ks)
 
 
 def worst_path(matrix, setup):

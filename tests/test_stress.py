@@ -8,7 +8,7 @@ import pytest
 
 from defi_stress import paths, stress
 from defi_stress.errors import InvalidParams, SchemaError
-from defi_stress.paths import GbmParams, correlated_chunks, correlated_path
+from defi_stress.paths import GbmParams, correlated_chunks, correlated_paths
 from defi_stress.protocol import LiquidityModel, liquidate_cells
 from defi_stress.stress import (
     ScenarioConfig,
@@ -292,11 +292,12 @@ class TestCorrelationSweep:
         )
         sweep = correlation_sweep(config, rhos, threads=threads)
         # Per asset: one shock column per path, whatever len(rhos) is, plus
-        # one per re-drawn worst path (one per cell of each report).
-        redrawn = len(rhos) * len(config.debt_levels) * len(config.liquidity_regimes)
+        # one per distinct worst path across all reports, drawn in one call
+        # after the ensemble's one chunk.
+        redrawn = {c.worst_path_index for r in sweep.values() for c in r.cells}
         for asset in (paths.COLLATERAL, paths.RESERVE):
-            columns = sum(a[3] for a in draws if a[1] == asset)
-            assert columns == config.n_paths + redrawn
+            columns = [len(a[2]) for a in draws if a[1] == asset]
+            assert columns == [config.n_paths, len(redrawn)]
         assert list(sweep) == rhos
         for rho in rhos:
             # dataclass equality compares every field, traces included
@@ -311,17 +312,21 @@ class TestCorrelationSweep:
         # Each trace opens its position at its path's first price.
         config = ScenarioConfig.from_dict(baseline_config)
         sweep = correlation_sweep(config, [-0.5, 0.9])
+        # Cells share worst paths, so the shared draw is exercised.
+        indices = [c.worst_path_index for r in sweep.values() for c in r.cells]
+        assert len(set(indices)) < len(indices)
         for rho, report in sweep.items():
             for setup, cell in zip(config.setups(), report.cells, strict=True):
-                prices = correlated_path(
+                col, res = correlated_paths(
                     config.collateral_params,
                     config.reserve_params,
-                    rho,
+                    [rho],
                     config.horizon_days,
                     config.seed,
-                    cell.worst_path_index,
+                    [cell.worst_path_index],
                 )
-                assert cell.trace == scalar_liquidation(setup, *prices), (rho, setup)
+                trace = scalar_liquidation(setup, col[:, 0], res[:, 0, 0])
+                assert cell.trace == trace, (rho, setup)
 
     def test_negative_correlation_bolsters_margin(self):
         config = small_config(n_paths=2000)
