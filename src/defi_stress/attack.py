@@ -6,14 +6,16 @@ revert-if-unprofitable semantics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .errors import (
     InsufficientDepth,
     InsufficientPoolLiquidity,
     InvalidParams,
+    SchemaError,
 )
+from .schema import Obj, build_at
 
 CROWDFUND = "crowdfund"
 FLASHLOAN = "flashloan"
@@ -82,12 +84,40 @@ class AttackPlan:
             raise InvalidParams("attack plan amounts and prices must be finite")
         if self.tokens_needed <= 0:
             raise InvalidParams("tokens_needed must be > 0")
-        if min(self.seizable_collateral, self.mintable_debt, self.gas_cost) < 0:
-            raise InvalidParams(
-                "seizable_collateral, mintable_debt and gas_cost must be >= 0"
-            )
+        for name in ("seizable_collateral", "mintable_debt", "gas_cost"):
+            if getattr(self, name) < 0:
+                raise InvalidParams(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.governance_token_price <= 0 or self.loan_currency_price <= 0:
             raise InvalidParams("prices must be > 0")
+
+
+def _attack_plans(strategies: tuple, **base) -> dict[str, AttackPlan]:
+    """{strategy name: plan}: one plan per strategy, differing only in gas
+    cost. Two strategies may not share a name."""
+    plan, plans = AttackPlan(gas_cost=0.0, **base), {}
+    for i, strategy in enumerate(strategies):
+        name, gas_cost = strategy["name"], strategy["gas_cost"]
+        if name in plans:
+            raise SchemaError(f"strategies[{i}].name: {name!r} is named twice")
+        plans[name] = build_at(f"strategies[{i}]", replace, plan, gas_cost=gas_cost)
+    return plans
+
+
+_BOOK = Obj(lambda venue, **book: OrderBookSnapshot(venue, **book),
+            {"venue": str, "levels": [(float, float)]})
+_POOL = Obj(lambda pool, **terms: FlashPool(pool, **terms),
+            {"pool": str, "available": float, "fee_rate": float})
+# The attack-plan/1 kind: sweep-cost reads two of its fields, attack all.
+SWEEP = Obj(dict, {"tokens_needed": float, "books": [_BOOK]}, "attack-plan/1")
+ATTACK_PLAN = Obj(_attack_plans, {
+    **SWEEP.fields,
+    "flash_pools": [_POOL],
+    "seizable_collateral": float,
+    "mintable_debt": float,
+    "governance_token_price": float,
+    "loan_currency_price": float,
+    "strategies": [Obj(dict, {"name": str, "gas_cost": float})],
+}, "attack-plan/1")
 
 
 @dataclass(frozen=True)

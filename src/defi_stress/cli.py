@@ -15,11 +15,11 @@ import logging
 import os
 import sys
 from dataclasses import asdict
+from functools import partial
 from pathlib import Path
 
-from . import __version__, attack, contagion, marketdata, stress
-from .errors import InputError, NumericError, SchemaError, check_schema
-from .errors import as_bool, as_float, as_int, as_list, as_pair, as_str
+from . import __version__, attack, contagion, marketdata, schema, stress
+from .errors import InputError, NumericError, SchemaError
 from .manifest import write_json, write_manifest
 
 log = logging.getLogger("defi_stress")
@@ -28,138 +28,32 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 
-PLAN_SCHEMA = "attack-plan/1"
-MODEL_SCHEMA = "contagion-model/1"
-
 
 def _reject_constant(name: str):
     raise ValueError(f"non-finite number {name}")
 
 
-def _config(args: argparse.Namespace, schema: str, parse) -> tuple:
-    """(parse(raw), config bytes) of the JSON object in args.config, whose
-    "schema" must be schema. Invalid JSON, NaN and the infinities (which
-    Python's json accepts), and whatever parse fails on raise SchemaError:
-    each command parses its whole config here, before it computes or writes."""
+def _config(args: argparse.Namespace, parse) -> tuple:
+    """(parse(raw), config bytes) of the JSON object raw in args.config, with
+    --seed, if given, as its "seed". Invalid JSON, NaN and the infinities
+    (which Python's json accepts) raise SchemaError, as parse does on a
+    field that breaks its rule: each command parses its whole config here,
+    before it computes or writes."""
     path = Path(args.config)
     config_bytes = path.read_bytes()
     try:
         raw = json.loads(config_bytes, parse_constant=_reject_constant)
-        if not isinstance(raw, dict):
-            raise SchemaError(f"{path}: expected a JSON object at the top level")
-        check_schema(raw, schema)
-        return parse(raw), config_bytes
-    except (KeyError, IndexError, AttributeError, TypeError, ValueError) as exc:
-        raise SchemaError(f"bad config {path}: {type(exc).__name__}: {exc}") from exc
+    except ValueError as exc:
+        raise SchemaError(f"bad config {path}: {exc}") from exc
+    if args.seed is not None and isinstance(raw, dict):
+        raw = dict(raw, seed=args.seed)
+    return parse(raw), config_bytes
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     return out_dir
-
-
-def _scenario(raw: dict, args: argparse.Namespace) -> stress.ScenarioConfig:
-    """The scenario of a raw stress config, with --seed applied."""
-    if args.seed is not None:
-        raw = dict(raw, seed=args.seed)
-    return stress.ScenarioConfig.from_dict(raw)
-
-
-def _heatmap_scenario(raw: dict, args: argparse.Namespace) -> stress.ScenarioConfig:
-    """The scenario of a stress config's heatmap grid. It replaces the
-    config's own cells, which are therefore not validated."""
-    spec = raw["heatmap"]
-    decay_rho = spec.get("decay_rho")
-    if decay_rho is None:
-        decay_rho = raw["liquidity_regimes"][0].get("rho", 0.0)
-    decay_rho = as_float(decay_rho, "decay_rho")
-    grid = [
-        {"l0": as_float(l0, "l0"), "rho": decay_rho}
-        for l0 in as_list(spec["l0_grid"], "l0_grid")
-    ]
-    debt_grid = as_list(spec["debt_grid"], "debt_grid")
-    return _scenario(dict(raw, debt_levels=debt_grid, liquidity_regimes=grid), args)
-
-
-def _books(raw: dict) -> tuple[attack.OrderBookSnapshot, ...]:
-    return tuple(
-        attack.OrderBookSnapshot(
-            venue_id=as_str(b["venue"], "venue"),
-            levels=tuple(as_pair(v, "level") for v in as_list(b["levels"], "levels")),
-        )
-        for b in as_list(raw["books"], "books")
-    )
-
-
-def _attack_plans(raw: dict) -> dict[str, attack.AttackPlan]:
-    """{strategy name: plan} of an attack plan config's strategies, whose
-    names must differ."""
-
-    def number(fields: dict, key: str) -> float:
-        return as_float(fields[key], key)
-
-    base = dict(
-        tokens_needed=number(raw, "tokens_needed"),
-        books=_books(raw),
-        flash_pools=tuple(
-            attack.FlashPool(
-                as_str(p["pool"], "pool"),
-                number(p, "available"),
-                number(p, "fee_rate"),
-            )
-            for p in as_list(raw["flash_pools"], "flash_pools")
-        ),
-        seizable_collateral=number(raw, "seizable_collateral"),
-        mintable_debt=number(raw, "mintable_debt"),
-        governance_token_price=number(raw, "governance_token_price"),
-        loan_currency_price=number(raw, "loan_currency_price"),
-    )
-    plans = {}
-    for s in as_list(raw["strategies"], "strategies"):
-        name = as_str(s["name"], "strategy name")
-        if name in plans:
-            raise SchemaError(f"strategy {name!r} is named twice")
-        plans[name] = attack.AttackPlan(gas_cost=number(s, "gas_cost"), **base)
-    return plans
-
-
-def _contagion(raw: dict, args: argparse.Namespace) -> tuple:
-    """(seed, composition models, sweepable totals, damage scenarios) of a
-    contagion model config. The market snapshot is read and summed here."""
-    seed = as_int(raw.get("seed", 0) if args.seed is None else args.seed, "seed")
-    n_protocols = as_int(raw.get("n_protocols", 1), "n_protocols")
-    total_debt = as_float(raw.get("total_debt", 0), "total_debt")
-    n_samples = as_int(raw.get("n_samples", 100_000), "n_samples")
-    models = [
-        contagion.CompositionModel(
-            n_protocols=n_protocols,
-            total_debt=total_debt,
-            lambda_range=as_pair(r, "lambda range"),
-            seed=seed,
-            n_samples=n_samples,
-        )
-        for r in as_list(raw.get("lambda_ranges", []), "lambda_ranges")
-    ]
-    sweepable = {}
-    if raw.get("snapshot_csv"):
-        # An absolute path replaces the config's directory.
-        snapshot_path = Path(args.config).parent / raw["snapshot_csv"]
-        snapshot = contagion.MarketSnapshot.from_csv(snapshot_path)
-        sweepable["sweepable_unlimited"] = contagion.sweepable_total(snapshot)
-        if raw.get("holdings_cap") is not None:
-            sweepable["sweepable_capped"] = contagion.sweepable_total(
-                snapshot, as_float(raw["holdings_cap"], "holdings_cap")
-            )
-    scenarios = [
-        contagion.DamageScenario(
-            as_str(s["label"], "label"),
-            as_float(s["loss"], "loss"),
-            as_bool(s.get("lower_bound", False), "lower_bound"),
-        )
-        for s in as_list(raw.get("damage_scenarios", []), "damage_scenarios")
-    ]
-    return seed, models, sweepable, scenarios
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
@@ -174,9 +68,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_stress(args: argparse.Namespace) -> int:
-    config, config_bytes = _config(
-        args, stress.CONFIG_SCHEMA, lambda raw: _scenario(raw, args)
-    )
+    config, config_bytes = _config(args, stress.ScenarioConfig.from_dict)
     report = stress.run_scenario(config)
     out_dir = Path(args.out)
     written = stress.write_report(report, out_dir)
@@ -187,7 +79,7 @@ def cmd_stress(args: argparse.Namespace) -> int:
 
 def cmd_heatmap(args: argparse.Namespace) -> int:
     config, config_bytes = _config(
-        args, stress.CONFIG_SCHEMA, lambda raw: _heatmap_scenario(raw, args)
+        args, lambda raw: stress.ScenarioConfig.from_dict(raw, grid=True)
     )
     matrix = stress.heatmap(config)
     out_dir = _out_dir(args)
@@ -199,12 +91,9 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep_cost(args: argparse.Namespace) -> int:
-    (books, target), config_bytes = _config(
-        args,
-        PLAN_SCHEMA,
-        lambda raw: (_books(raw), as_float(raw["tokens_needed"], "tokens_needed")),
-    )
-    result = attack.sweep_cost(books, target)
+    plan, config_bytes = _config(args, partial(schema.read, attack.SWEEP))
+    target = plan["tokens_needed"]
+    result = attack.sweep_cost(plan["books"], target)
     report = {
         "target_qty": target,
         "total_cost": result.total_cost,
@@ -218,7 +107,7 @@ def cmd_sweep_cost(args: argparse.Namespace) -> int:
 
 
 def cmd_attack(args: argparse.Namespace) -> int:
-    plans, config_bytes = _config(args, PLAN_SCHEMA, _attack_plans)
+    plans, config_bytes = _config(args, partial(schema.read, attack.ATTACK_PLAN))
     results = {}
     for name, plan in plans.items():
         results[name] = asdict(attack.attack_profit(plan, name))
@@ -230,24 +119,34 @@ def cmd_attack(args: argparse.Namespace) -> int:
 
 
 def cmd_contagion(args: argparse.Namespace) -> int:
-    (seed, models, sweepable, scenarios), config_bytes = _config(
-        args, MODEL_SCHEMA, lambda raw: _contagion(raw, args)
-    )
+    model, config_bytes = _config(args, partial(schema.read, contagion.CONTAGION_MODEL))
+    totals = {}
+    if model["snapshot_csv"] is not None:
+        # Relative to the config's directory, unless the path is absolute.
+        path = Path(args.config).parent / model["snapshot_csv"]
+        try:
+            snapshot = contagion.MarketSnapshot.from_csv(path)
+        except (InputError, OSError) as exc:
+            raise SchemaError(f"snapshot_csv: {exc}") from exc
+        totals["sweepable_unlimited"] = contagion.sweepable_total(snapshot)
+        cap = model["holdings_cap"]
+        if cap is not None:
+            totals["sweepable_capped"] = contagion.sweepable_total(snapshot, cap)
     out_dir = _out_dir(args)
     written = []
-    summary: dict = {"losses": {}} if models else {}
-    for model in models:
-        dist = contagion.max_systemic_loss(model)
-        name = "{:g}-{:g}".format(*model.lambda_range)
+    summary: dict = {"losses": {}} if model["models"] else {}
+    for composition in model["models"]:
+        dist = contagion.max_systemic_loss(composition)
+        name = "{:g}-{:g}".format(*composition.lambda_range)
         written.append(out_dir / f"losses_{name}.csv")
         contagion.write_loss_csv(dist, written[-1])
         summary["losses"][name] = {"mean": dist.mean, "min": dist.min, "max": dist.max}
-    summary.update(sweepable)
-    if scenarios:
+    summary.update(totals)
+    if model["damage_scenarios"]:
         written.append(out_dir / "damage_table.csv")
-        written[-1].write_text(contagion.damage_table(scenarios))
+        written[-1].write_text(contagion.damage_table(model["damage_scenarios"]))
     written.append(write_json(out_dir / "contagion_summary.json", summary))
-    write_manifest(out_dir, config_bytes, seed, written)
+    write_manifest(out_dir, config_bytes, model["seed"], written)
     return EXIT_OK
 
 

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import InvalidParams, InvalidRange
 from .marketdata import read_csv_rows
+from .schema import Obj, Opt
 
 
 @dataclass(frozen=True)
@@ -77,7 +78,7 @@ class CompositionModel:
         # block row of n_protocols multipliers, each of 8-byte float64s.
         if max(self.n_samples, self.n_protocols) * 8 > np.iinfo(np.intp).max:
             raise InvalidParams(
-                f"{self.n_samples} samples or {self.n_protocols} protocols "
+                f"n_samples {self.n_samples} or n_protocols {self.n_protocols} "
                 "do not fit in one array"
             )
 
@@ -101,6 +102,28 @@ class DamageScenario:
             raise InvalidParams("damage losses must be finite")
 
 
+def _contagion_model(lambda_ranges: tuple, **fields) -> dict:
+    """The fields of a contagion model, with one composition model per lambda
+    range as "models"."""
+    shared = {k: fields[k] for k in ("n_protocols", "total_debt", "seed", "n_samples")}
+    models = [CompositionModel(lambda_range=r, **shared) for r in lambda_ranges]
+    return dict(fields, models=models)
+
+
+_DAMAGE = Obj(DamageScenario,
+              {"label": str, "loss": float, "lower_bound": Opt(bool, False)})
+CONTAGION_MODEL = Obj(_contagion_model, {
+    "n_protocols": Opt(int, 1),
+    "total_debt": Opt(float, 0.0),
+    "lambda_ranges": Opt([(float, float)], ()),
+    "seed": Opt(int, 0),
+    "n_samples": Opt(int, 100_000),
+    "snapshot_csv": Opt(str),
+    "holdings_cap": Opt(float),
+    "damage_scenarios": Opt([_DAMAGE], ()),
+}, "contagion-model/1")
+
+
 def sweepable_total(
     snapshot: MarketSnapshot, holdings_cap: float | None = None
 ) -> float:
@@ -114,7 +137,7 @@ def sweepable_total(
     if holdings_cap is None:
         return total
     if not holdings_cap >= 0:
-        raise InvalidParams(f"holdings cap must be >= 0, got {holdings_cap}")
+        raise InvalidParams(f"holdings_cap must be >= 0, got {holdings_cap}")
     return min(holdings_cap, total)
 
 

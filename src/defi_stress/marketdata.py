@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -82,28 +83,32 @@ def read_csv_rows(path: str | Path, header: list[str], parse) -> list:
     first line must be header, matched ignoring case and spaces. A file with
     no line is EmptySeries; a wrong header is a ParseError, as is a row with
     the wrong number of fields or one on which parse raises ValueError, with
-    the row's index (0-based, excluding the header).
+    the row's index (0-based, excluding the header), and so is a file that is
+    not UTF-8, with its path.
     """
     path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        first = next(reader, None)
-        if first is None:
-            raise EmptySeries(f"{path}: no rows")
-        if [h.strip().lower() for h in first] != header:
-            raise ParseError(f"expected header {','.join(header)}")
-        parsed = []
-        for i, row in enumerate(reader):
-            if all(not c.strip() for c in row):
-                continue
-            if len(row) != len(header):
-                raise ParseError(
-                    f"expected {len(header)} fields, got {len(row)}", row=i
-                )
-            try:
-                parsed.append(parse(row))
-            except ValueError as exc:
-                raise ParseError(str(exc), row=i) from exc
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start)  # 0 is the header
+        raise ParseError(f"{path}: not UTF-8", row=line - 1 if line else None) from exc
+    reader = csv.reader(io.StringIO(text, newline=""))
+    first = next(reader, None)
+    if first is None:
+        raise EmptySeries(f"{path}: no rows")
+    if [h.strip().lower() for h in first] != header:
+        raise ParseError(f"expected header {','.join(header)}")
+    parsed = []
+    for i, row in enumerate(reader):
+        if all(not c.strip() for c in row):
+            continue
+        if len(row) != len(header):
+            raise ParseError(f"expected {len(header)} fields, got {len(row)}", row=i)
+        try:
+            parsed.append(parse(row))
+        except ValueError as exc:
+            raise ParseError(str(exc), row=i) from exc
     return parsed
 
 

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidParams, SchemaError, as_float, as_int, as_list, check_schema
+from .errors import InvalidParams
 from .manifest import write_json
 from .paths import GbmParams, _check, correlated_chunks, correlated_paths
 from .protocol import (
@@ -34,8 +34,7 @@ from .protocol import (
     liquidate_blocks,
     trace_cells,
 )
-
-CONFIG_SCHEMA = "stress-config/1"
+from .schema import Obj, Opt, read
 
 
 def _trace_name(debt: float, liquidity: LiquidityModel) -> str:
@@ -43,12 +42,24 @@ def _trace_name(debt: float, liquidity: LiquidityModel) -> str:
     return f"trace_debt{debt:g}_l0{liquidity.l0:g}_rho{liquidity.rho:g}.csv"
 
 
-def _numbers(cls, raw: dict):
-    """cls(**raw), each field checked by as_float but passed on as given:
-    a summary writes an integral l0 back as an integer."""
-    for key, value in dict(raw).items():
-        as_float(value, key)
-    return cls(**raw)
+_GBM = Obj(GbmParams, {"p0": float, "mu": float, "sigma": float})
+_REGIME = Obj(LiquidityModel, {"l0": float, "rho": Opt(float, 0.0)})
+_GRID = Obj(dict, {"debt_grid": [float], "l0_grid": [float], "decay_rho": Opt(float)})
+STRESS_CONFIG = Obj(dict, {
+    "collateral": _GBM,
+    "reserve": _GBM,
+    "rho_corr": float,
+    "horizon_days": int,
+    "n_paths": int,
+    "seed": int,
+    "debt_levels": [float],
+    "liquidity_regimes": [_REGIME],
+    "reserve_quantity": float,
+    "collateral_ratio": Opt(float, 1.5),
+    "heatmap": Opt(_GRID),
+}, "stress-config/1")
+# heatmap runs the cells of the heatmap block, which it needs.
+_GRID_CONFIG = Obj(dict, {**STRESS_CONFIG.fields, "heatmap": _GRID}, "stress-config/1")
 
 
 @dataclass(frozen=True)
@@ -85,31 +96,23 @@ class ScenarioConfig:
         _check((self.rho_corr,), self.horizon_days, self.n_paths)
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "ScenarioConfig":
-        check_schema(raw, CONFIG_SCHEMA)
-        try:
-            return cls(
-                collateral_params=_numbers(GbmParams, raw["collateral"]),
-                reserve_params=_numbers(GbmParams, raw["reserve"]),
-                rho_corr=as_float(raw["rho_corr"], "rho_corr"),
-                horizon_days=as_int(raw["horizon_days"], "horizon_days"),
-                n_paths=as_int(raw["n_paths"], "n_paths"),
-                seed=as_int(raw["seed"], "seed"),
-                debt_levels=tuple(
-                    as_float(d, "debt level")
-                    for d in as_list(raw["debt_levels"], "debt_levels")
-                ),
-                liquidity_regimes=tuple(
-                    _numbers(LiquidityModel, r)
-                    for r in as_list(raw["liquidity_regimes"], "liquidity_regimes")
-                ),
-                reserve_quantity=as_float(raw["reserve_quantity"], "reserve_quantity"),
-                collateral_ratio=as_float(
-                    raw.get("collateral_ratio", 1.5), "collateral_ratio"
-                ),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"bad stress config: {exc}") from exc
+    def from_dict(cls, raw: dict, grid: bool = False) -> "ScenarioConfig":
+        """The scenario of a stress-config/1 object (`STRESS_CONFIG`).
+
+        With grid, its cells are those of its heatmap block: each debt of
+        debt_grid against a regime per l0 of l0_grid, decaying at decay_rho,
+        by default the first regime's rho (0 without one). The config's own
+        cells are then read by their rules, but not checked as cells.
+        """
+        fields = read(_GRID_CONFIG if grid else STRESS_CONFIG, raw)
+        heatmap = fields.pop("heatmap")
+        if grid:
+            rho = heatmap["decay_rho"]
+            if rho is None:
+                rho = next((r.rho for r in fields["liquidity_regimes"]), 0.0)
+            regimes = tuple(LiquidityModel(l0, rho) for l0 in heatmap["l0_grid"])
+            fields.update(debt_levels=heatmap["debt_grid"], liquidity_regimes=regimes)
+        return cls(fields.pop("collateral"), fields.pop("reserve"), **fields)
 
     def setups(self) -> list[LiquidationSetup]:
         """One setup per (debt level, liquidity regime) cell, debt-major."""

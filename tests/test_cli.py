@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -157,7 +158,7 @@ class TestStress:
         out = tmp_path / "o"
         assert run("stress", "--config", path, "--out", out) == 2
         err = one_stderr_line(capsys, "error: cells (debt, l0, rho)")
-        assert "(100000000.0, 30000, 0.0) and (100000010.0, 30000, 0.0)" in err
+        assert "(100000000.0, 30000.0, 0.0) and (100000010.0, 30000.0, 0.0)" in err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -571,67 +572,78 @@ def bundled(data_dir, fixture, at=(), value=None):
     return cfg
 
 
+# Each row: command, fixture, key path of the edit, value, and the JSON path
+# that the error line names first.
+MALFORMED = [
+    # Inputs that ended in a traceback, most after writing loss CSVs.
+    ("contagion", MODEL, ("damage_scenarios", 0), {"loss": 1e8},
+     "damage_scenarios[0].label"),
+    ("contagion", MODEL, ("damage_scenarios", 0, "loss"), "x",
+     "damage_scenarios[0].loss"),
+    ("contagion", MODEL, ("lambda_ranges", 0), [1.01, 1.5, 2.0], "lambda_ranges[0]"),
+    ("contagion", MODEL, ("holdings_cap",), "abc", "holdings_cap"),
+    ("contagion", MODEL, ("snapshot_csv",), 5, "snapshot_csv"),
+    ("contagion", MODEL, ("damage_scenarios",), 5, "damage_scenarios"),
+    ("contagion", MODEL, ("snapshot_csv",), ".", "snapshot_csv"),
+    ("sweep-cost", PLAN, ("books", 0, "venue"), ["kyber"], "books[0].venue"),
+    ("attack", PLAN, ("flash_pools", 0, "pool"), ["dydx"], "flash_pools[0].pool"),
+    ("contagion", MODEL, ("damage_scenarios", 0, "loss"), "inf",
+     "damage_scenarios[0].loss"),
+    # A string where a list is expected, which Python would iterate.
+    ("stress", STRESS, ("debt_levels",), "12", "debt_levels"),
+    ("heatmap", STRESS, ("heatmap", "debt_grid"), "12", "heatmap.debt_grid"),
+    ("heatmap", STRESS, ("heatmap", "l0_grid"), "12", "heatmap.l0_grid"),
+    ("contagion", MODEL, ("lambda_ranges", 0), "23", "lambda_ranges[0]"),
+    ("contagion", MODEL, ("damage_scenarios",), "ab", "damage_scenarios"),
+    ("sweep-cost", PLAN, ("books", 0, "levels", 0), "12", "books[0].levels[0]"),
+    # A bool or a fraction in an integer field.
+    ("stress", STRESS, ("horizon_days",), 1.5, "horizon_days"),
+    ("stress", STRESS, ("seed",), 1.7, "seed"),
+    ("stress", STRESS, ("n_paths",), True, "n_paths"),
+    ("contagion", MODEL, ("n_samples",), 2.5, "n_samples"),
+    ("contagion", MODEL, ("n_protocols",), True, "n_protocols"),
+    # A venue that is not a string.
+    ("sweep-cost", PLAN, ("books", 0, "venue"), 5, "books[0].venue"),
+    # A sample array too large for numpy, a flag given as a string and
+    # plan numbers that are not finite.
+    ("contagion", MODEL, ("n_samples",), 4e18, "n_samples"),
+    ("contagion", MODEL, ("damage_scenarios", 0, "lower_bound"), "false",
+     "damage_scenarios[0].lower_bound"),
+    ("attack", PLAN, ("mintable_debt",), "-inf", "mintable_debt"),
+    ("attack", PLAN, ("seizable_collateral",), "inf", "seizable_collateral"),
+    ("attack", PLAN, ("flash_pools", 0, "fee_rate"), "nan", "flash_pools[0].fee_rate"),
+    ("sweep-cost", PLAN, ("books", 0, "levels", 0, 1), "inf", "books[0].levels[0][1]"),
+    # A NaN sweep target or holdings cap, and two strategies of one name.
+    ("sweep-cost", PLAN, ("tokens_needed",), "nan", "tokens_needed"),
+    ("contagion", MODEL, ("holdings_cap",), "nan", "holdings_cap"),
+    ("attack", PLAN, ("strategies", 1, "name"), "flashloan", "strategies[1].name"),
+    # Negative plan amounts, which would turn a gas cost into a gain.
+    ("attack", PLAN, ("strategies", 0, "gas_cost"), -5, "strategies[0]"),
+    ("attack", PLAN, ("seizable_collateral",), -1, "seizable_collateral"),
+    ("attack", PLAN, ("mintable_debt",), -1, "mintable_debt"),
+    # A bool in a number field.
+    ("stress", STRESS, ("rho_corr",), True, "rho_corr"),
+    ("stress", STRESS, ("debt_levels",), [True, 2e8], "debt_levels[0]"),
+    ("stress", STRESS, ("collateral", "p0"), True, "collateral.p0"),
+    ("stress", STRESS, ("reserve_quantity",), False, "reserve_quantity"),
+    ("stress", STRESS, ("collateral_ratio",), True, "collateral_ratio"),
+    ("stress", STRESS, ("liquidity_regimes",), [{"l0": True}],
+     "liquidity_regimes[0].l0"),
+    ("heatmap", STRESS, ("heatmap", "decay_rho"), True, "heatmap.decay_rho"),
+    ("attack", PLAN, ("tokens_needed",), True, "tokens_needed"),
+    ("attack", PLAN, ("strategies", 0, "gas_cost"), True, "strategies[0].gas_cost"),
+    ("contagion", MODEL, ("total_debt",), True, "total_debt"),
+    ("contagion", MODEL, ("holdings_cap",), True, "holdings_cap"),
+    # A damage label that is not a string.
+    ("contagion", MODEL, ("damage_scenarios", 0, "label"), None,
+     "damage_scenarios[0].label"),
+    ("contagion", MODEL, ("damage_scenarios", 0, "label"), 5,
+     "damage_scenarios[0].label"),
+]
+
+
 @pytest.mark.parametrize(
-    "command, fixture, at, value",
-    [
-        # Inputs that ended in a traceback, most after writing loss CSVs.
-        ("contagion", MODEL, ("damage_scenarios", 0), {"loss": 1e8}),
-        ("contagion", MODEL, ("damage_scenarios", 0, "loss"), "x"),
-        ("contagion", MODEL, ("lambda_ranges", 0), [1.01, 1.5, 2.0]),
-        ("contagion", MODEL, ("holdings_cap",), "abc"),
-        ("contagion", MODEL, ("snapshot_csv",), 5),
-        ("contagion", MODEL, ("damage_scenarios",), 5),
-        ("contagion", MODEL, ("snapshot_csv",), "."),
-        ("sweep-cost", PLAN, ("books", 0, "venue"), ["kyber"]),
-        ("attack", PLAN, ("flash_pools", 0, "pool"), ["dydx"]),
-        ("contagion", MODEL, ("damage_scenarios", 0, "loss"), "inf"),
-        # A string where a list is expected, which Python would iterate.
-        ("stress", STRESS, ("debt_levels",), "12"),
-        ("heatmap", STRESS, ("heatmap", "debt_grid"), "12"),
-        ("heatmap", STRESS, ("heatmap", "l0_grid"), "12"),
-        ("contagion", MODEL, ("lambda_ranges", 0), "23"),
-        ("contagion", MODEL, ("damage_scenarios",), "ab"),
-        ("sweep-cost", PLAN, ("books", 0, "levels", 0), "12"),
-        # A bool or a fraction in an integer field.
-        ("stress", STRESS, ("horizon_days",), 1.5),
-        ("stress", STRESS, ("seed",), 1.7),
-        ("stress", STRESS, ("n_paths",), True),
-        ("contagion", MODEL, ("n_samples",), 2.5),
-        ("contagion", MODEL, ("n_protocols",), True),
-        # A venue that is not a string.
-        ("sweep-cost", PLAN, ("books", 0, "venue"), 5),
-        # A sample array too large for numpy, a flag given as a string and
-        # plan numbers that are not finite.
-        ("contagion", MODEL, ("n_samples",), 4e18),
-        ("contagion", MODEL, ("damage_scenarios", 0, "lower_bound"), "false"),
-        ("attack", PLAN, ("mintable_debt",), "-inf"),
-        ("attack", PLAN, ("seizable_collateral",), "inf"),
-        ("attack", PLAN, ("flash_pools", 0, "fee_rate"), "nan"),
-        ("sweep-cost", PLAN, ("books", 0, "levels", 0, 1), "inf"),
-        # A NaN sweep target or holdings cap, and two strategies of one name.
-        ("sweep-cost", PLAN, ("tokens_needed",), "nan"),
-        ("contagion", MODEL, ("holdings_cap",), "nan"),
-        ("attack", PLAN, ("strategies", 1, "name"), "flashloan"),
-        # Negative plan amounts, which would turn a gas cost into a gain.
-        ("attack", PLAN, ("strategies", 0, "gas_cost"), -5),
-        ("attack", PLAN, ("seizable_collateral",), -1),
-        ("attack", PLAN, ("mintable_debt",), -1),
-        # A bool in a number field.
-        ("stress", STRESS, ("rho_corr",), True),
-        ("stress", STRESS, ("debt_levels",), [True, 2e8]),
-        ("stress", STRESS, ("collateral", "p0"), True),
-        ("stress", STRESS, ("reserve_quantity",), False),
-        ("stress", STRESS, ("collateral_ratio",), True),
-        ("stress", STRESS, ("liquidity_regimes",), [{"l0": True}]),
-        ("heatmap", STRESS, ("heatmap", "decay_rho"), True),
-        ("attack", PLAN, ("tokens_needed",), True),
-        ("attack", PLAN, ("strategies", 0, "gas_cost"), True),
-        ("contagion", MODEL, ("total_debt",), True),
-        ("contagion", MODEL, ("holdings_cap",), True),
-        # A damage label that is not a string.
-        ("contagion", MODEL, ("damage_scenarios", 0, "label"), None),
-        ("contagion", MODEL, ("damage_scenarios", 0, "label"), 5),
-    ],
+    "command, fixture, at, value", [row[:4] for row in MALFORMED]
 )
 def test_malformed_config_exits_2_before_writing(
     data_dir, tmp_path, capsys, command, fixture, at, value
@@ -640,7 +652,9 @@ def test_malformed_config_exits_2_before_writing(
     cfg.write_text(json.dumps(bundled(data_dir, fixture, at, value)))
     out = tmp_path / "o"
     assert run(command, "--config", cfg, "--out", out) == 2
-    one_stderr_line(capsys, "error:")
+    line = one_stderr_line(capsys, "error:")
+    (path,) = [row[4] for row in MALFORMED if row[:4] == (command, fixture, at, value)]
+    assert re.match(rf"error: {re.escape(path)}[: ]", line), line
     assert not out.exists()
 
 
@@ -667,6 +681,52 @@ def test_integral_float_or_numeric_string_is_an_integer(
         report = "summary.json" if command == "stress" else "contagion_summary.json"
         reports.append((tmp_path / name / report).read_bytes())
     assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize(
+    "l0, sigma",
+    [(30000.0, None), ("30000", None), ("3e4", None), (30000, "0.050581")],
+    ids=["float", "string", "exponent", "sigma_string"],
+)
+def test_equal_numbers_give_equal_bytes(data_dir, tmp_path, l0, sigma):
+    # The bundled config gives every l0 as the integer 30000 and sigma as
+    # 0.050581; a number field reads each form as the same float.
+    edited = bundled(data_dir, STRESS)
+    for regime in edited["liquidity_regimes"]:
+        regime["l0"] = l0
+    if sigma is not None:
+        edited["collateral"]["sigma"] = sigma
+    summaries = []
+    for name, cfg in [("base", bundled(data_dir, STRESS)), ("edited", edited)]:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cfg))
+        assert run("stress", "--config", path, "--out", tmp_path / name) == 0
+        summaries.append((tmp_path / name / "summary.json").read_bytes())
+    assert summaries[0] == summaries[1]
+    assert json.loads(summaries[0])["cells"][0]["l0"] == 30000.0
+
+
+@pytest.mark.parametrize("command", ["ingest", "contagion"])
+def test_csv_that_is_not_utf8_exits_2(data_dir, tmp_path, capsys, command):
+    rows = tmp_path / "rows.csv"
+    out = tmp_path / "o"
+    if command == "ingest":
+        rows.write_bytes(
+            b"date,open,high,low,close,volume\n2021-01-01,1,1,1,1,10\n"
+            b"2021-01-02,1,1,1,\xff\xfe,10\n"
+        )
+        assert run("ingest", rows, "--out", out) == 2
+    else:
+        rows.write_bytes(
+            b"market,pair,notional_usd\nm,DAI/USDC,1e6\nn,\xff\xfe,2e6\n"
+        )
+        cfg = tmp_path / "cfg.json"
+        model = bundled(data_dir, MODEL, ("snapshot_csv",), str(rows))
+        cfg.write_text(json.dumps(model))
+        assert run("contagion", "--config", cfg, "--out", out) == 2
+    line = one_stderr_line(capsys, "error:")
+    assert f"row 1: {rows}: not UTF-8" in line, line
+    assert not out.exists()
 
 
 def test_config_that_is_a_directory_exits_2(tmp_path, capsys):

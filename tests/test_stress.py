@@ -358,6 +358,42 @@ def test_trace_margins_match_the_margin_oracle(baseline_config):
     assert rows > len(config.setups())
 
 
+@pytest.mark.parametrize("factor", [4.0, 0.5])
+def test_money_scaled_by_a_power_of_two_scales_every_margin_exactly(
+    baseline_config, factor
+):
+    # Every debt level, l0 and the reserve quantity scaled through the config.
+    # A power of two scales each rounded operation exactly, so the same paths
+    # fail on the same days, and every money or unit column scales with ==.
+    # Prices are not scaled.
+    scaled = json.loads(json.dumps(baseline_config))
+    scaled["debt_levels"] = [d * factor for d in scaled["debt_levels"]]
+    for regime in scaled["liquidity_regimes"]:
+        regime["l0"] *= factor
+    scaled["reserve_quantity"] *= factor
+    base = run_scenario(ScenarioConfig.from_dict(baseline_config))
+    other = run_scenario(ScenarioConfig.from_dict(scaled))
+    assert any(c.first_negative_day is not None for c in base.cells)
+    for a, b in zip(base.cells, other.cells, strict=True):
+        assert (b.debt, b.liquidity.l0) == (a.debt * factor, a.liquidity.l0 * factor)
+        assert b.worst_path_index == a.worst_path_index
+        assert b.first_negative_day == a.first_negative_day
+        assert b.min_terminal_margin == a.min_terminal_margin * factor
+        assert b.trace.days == a.trace.days
+        assert b.trace.first_negative_day == a.trace.first_negative_day
+        assert b.trace.collateral_prices == a.trace.collateral_prices
+        assert b.trace.reserve_prices == a.trace.reserve_prices
+        for column in (
+            "units_sold",
+            "proceeds",
+            "debt_remaining",
+            "collateral_remaining",
+            "margins",
+        ):
+            values = getattr(a.trace, column)
+            assert getattr(b.trace, column) == [v * factor for v in values], column
+
+
 def test_summary_json_contains_cells(tmp_path):
     config = small_config(n_paths=200)
     files = write_report(run_scenario(config), tmp_path)
