@@ -1,14 +1,14 @@
 """Seeded geometric-Brownian-motion path generation for the collateral and
 reserve assets, with optional correlation between their daily shocks.
 
-Every path draws from its own counter-based (Philox) stream keyed on
-(master seed, path index, asset index), so path k is bit-identical no
-matter how many paths are generated or how work is partitioned. One Philox
-generator per asset is reset to each path's key in turn, which yields the
-same stream as a fresh generator per path. Each path is drawn into a
-contiguous row of a small path-major tile; the whole tile is then copied,
-transposed, into the day-major shock buffer in one assignment, so no draw
-writes to a strided column.
+Paths are drawn in blocks of BLOCK_PATHS: block b, paths b * BLOCK_PATHS
+to (b + 1) * BLOCK_PATHS - 1, has one SFC64 stream per asset, seeded by a
+SeedSequence keyed on (master seed mod 2**64, b, asset index), that fills a
+(horizon, BLOCK_PATHS) buffer day-major in one call; path k is column
+k % BLOCK_PATHS of its block, and a set of paths that starts or ends inside
+a block draws that whole block. So path k is bit-identical no matter how
+many paths are generated or how work is partitioned, and a shorter horizon
+draws a prefix of every path's shocks.
 
 Shocks and prices are stored day-major, (days, paths), so the liquidation
 engine's read of one day across all paths is contiguous. A chunk of paths
@@ -21,11 +21,12 @@ chunk's memory is its shocks plus one day block, whatever the number of
 correlations. `simulate_gbm` prices its days as one block and returns a
 transposed view, with shape (paths, days).
 
-Because path k depends only on its key, one routine draws paths by index:
-a correlated ensemble is drawn in chunks of CHUNK_PATHS consecutive paths
-(`correlated_chunks`), and any set of paths, such as the worst paths of a
-report, is re-drawn as one block (`correlated_paths`) with the same bits,
-whatever the chunking or the block size.
+Because path k depends only on (seed, k, asset), one routine draws paths
+by index: a correlated ensemble is drawn in chunks of CHUNK_PATHS
+consecutive paths (`correlated_chunks`), and any set of paths, such as the
+worst paths of a report, is re-drawn from their blocks and priced as one
+block (`correlated_paths`) with the same bits, whatever the chunking or the
+day block.
 """
 
 from __future__ import annotations
@@ -50,11 +51,9 @@ CHUNK_PATHS = 2048
 # per asset and correlation.
 DAY_BLOCK = 8
 # Identifies the shock scheme above in run manifests.
-RNG_SCHEME = "philox-per-path/1"
-# Paths per contiguous path-major tile in `_increments`: 128 x 365 days is
-# 0.37 MB, small enough to stay in cache between the draws and the
-# transposed copy into the day-major buffer.
-_TILE_PATHS = 128
+RNG_SCHEME = "sfc64-block128/2"
+# Paths per generator: a block's (365 days, 128) buffer is 0.37 MB.
+BLOCK_PATHS = 128
 
 
 @dataclass(frozen=True)
@@ -75,29 +74,28 @@ class GbmParams:
 
 
 def _increments(seed: int, asset: int, ks: Sequence[int], out: np.ndarray) -> None:
-    """Standard-normal daily shocks of paths ks, day-major, into out, of
-    shape (horizon_days, len(ks)).
-
-    Column j is the stream of path ks[j], that of a fresh Philox keyed on
-    (seed mod 2**64, ks[j] << 1 | asset). One bit generator is reset to
-    each path's key and to the counter and buffer a fresh one starts with,
-    and draws into one row of a (_TILE_PATHS, horizon_days) tile; each
-    tile of paths is then copied, transposed, into out.
-    """
-    key = np.array([seed % 2**64, 0], dtype=np.uint64)
-    bit_generator = np.random.Philox(key=key)
-    generator = np.random.Generator(bit_generator)
-    fresh = bit_generator.state
-    path_key = fresh["state"]["key"]
-    horizon_days, n_paths = out.shape
-    tile = np.empty((min(_TILE_PATHS, n_paths), horizon_days))
-    for lo in range(0, n_paths, _TILE_PATHS):
-        rows = tile[: min(_TILE_PATHS, n_paths - lo)]
-        for k, row in zip(ks[lo : lo + len(rows)], rows):
-            path_key[1] = (k << 1) | asset
-            bit_generator.state = fresh
-            generator.standard_normal(out=row)
-        out[:, lo : lo + len(rows)] = rows.T
+    """Standard-normal daily shocks of paths ks into out, (horizon_days,
+    len(ks)): path k is column k % BLOCK_PATHS of the day-major (horizon_days,
+    BLOCK_PATHS) draw of the SFC64 of block k // BLOCK_PATHS, seeded by
+    SeedSequence(seed mod 2**64, spawn_key=(block, asset)). Each run of
+    consecutive paths in one block is copied as one slice; a block that ks
+    leave and come back to is drawn again."""
+    if isinstance(ks, range) and ks.step == 1:
+        # Consecutive paths: a run starts at the first and at each block edge.
+        edge = BLOCK_PATHS - ks.start % BLOCK_PATHS
+        starts = [0, *range(edge, len(ks), BLOCK_PATHS)]
+    else:
+        ks = np.asarray(ks)
+        breaks = (np.diff(ks) != 1) | (ks[1:] % BLOCK_PATHS == 0)
+        starts = [0, *(np.flatnonzero(breaks) + 1).tolist()]
+    buf, drawn = np.empty((out.shape[0], BLOCK_PATHS)), None
+    for lo, hi in zip(starts, starts[1:] + [len(ks)]):
+        block, col = divmod(int(ks[lo]), BLOCK_PATHS)
+        if block != drawn:
+            seeds = np.random.SeedSequence(seed % 2**64, spawn_key=(block, asset))
+            np.random.Generator(np.random.SFC64(seeds)).standard_normal(out=buf)
+            drawn = block
+        out[:, lo:hi] = buf[:, col : col + hi - lo]
 
 
 def _price_blocks(

@@ -5,8 +5,13 @@
   vectorised engine, field for field.
 - `margin`: the overcollateralisation margin (1 + lambda) P Q + R q - D of
   one position, the oracle for the margin column of a liquidation trace.
-- `philox_increments`: daily shocks from a freshly built Philox generator
-  per path, the oracle for the reused generator of `defi_stress.paths`.
+- `block_increments`: daily shocks from a freshly built generator per block
+  of paths, drawn whole and sliced path-major, the oracle for the block
+  streams of `defi_stress.paths`.
+- `discrete_barrier_probability`: the probability that a Gaussian random
+  walk falls below a constant barrier on some day, by a grid recursion that
+  draws no random number; the oracle for the share of paths that go
+  undercollateralised when nothing is sold and there is no reserve.
 - `select_worst_path`: worst-path selection over a whole ensemble's
   liquidation results at once, the oracle for the chunk-by-chunk fold of
   `defi_stress.stress`.
@@ -19,6 +24,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -100,21 +106,26 @@ def scalar_liquidation(
     return trace
 
 
-def _stream(seed: int, path_index: int, asset_index: int) -> np.random.Generator:
-    key = np.array(
-        [seed % 2**64, (path_index << 1) | asset_index], dtype=np.uint64
-    )
-    return np.random.Generator(np.random.Philox(key=key))
+# Paths per generator in the shock scheme of `defi_stress.paths`.
+BLOCK = 128
 
 
-def philox_increments(
-    seed: int, asset_index: int, horizon_days: int, n_paths: int
+def block_increments(
+    seed: int, asset_index: int, horizon_days: int, ks: Sequence[int]
 ) -> np.ndarray:
-    """Standard-normal daily shocks, path-major (n_paths, horizon_days), one
-    new generator per path keyed on (seed, path index, asset index)."""
-    z = np.empty((n_paths, horizon_days))
-    for k in range(n_paths):
-        z[k] = _stream(seed, k, asset_index).standard_normal(horizon_days)
+    """Standard-normal daily shocks of paths ks, path-major (len(ks),
+    horizon_days). Each block of BLOCK paths draws its (horizon_days, BLOCK)
+    shocks from a new SFC64 generator, seeded by (seed mod 2**64, block,
+    asset index); path k is row k % BLOCK of its block's transposed draw."""
+    draws = {}
+    z = np.empty((len(ks), horizon_days))
+    for j, k in enumerate(ks):
+        block = k // BLOCK
+        if block not in draws:
+            seeds = np.random.SeedSequence(seed % 2**64, spawn_key=(block, asset_index))
+            generator = np.random.Generator(np.random.SFC64(seeds))
+            draws[block] = generator.standard_normal((horizon_days, BLOCK)).T
+        z[j] = draws[block][k % BLOCK]
     return z
 
 
@@ -143,6 +154,49 @@ def whole_chunk(blocks) -> tuple[np.ndarray, np.ndarray]:
     collateral, reserve = zip(*((col.copy(), res.copy()) for col, res in blocks))
     reserve = np.concatenate(reserve).transpose(1, 0, 2)
     return np.concatenate(collateral), np.ascontiguousarray(reserve)
+
+
+def discrete_barrier_probability(
+    drift: float, sigma: float, horizon_days: int, barrier: float, step: float
+) -> tuple[float, np.ndarray]:
+    """The probability that x_t < barrier on some day t in 1..horizon_days,
+    where x_0 = 0 > barrier and x_t = x_(t-1) + drift + sigma * Z_t with
+    Z_t i.i.d. standard normal; and the probability absorbed on each day,
+    shape (horizon_days,), which sums to it.
+
+    No random number is drawn. Day 1 is exact: the survivors' density is
+    normal and the absorbed mass a normal CDF. Each later day integrates
+    the survivors' density, held on the points barrier + j * step, against
+    the Gaussian step by the trapezoid rule: absorbed is the mass carried
+    below the barrier, and the rest is the next day's density on the same
+    points. The points reach 10 sigma sqrt(horizon_days) above the highest
+    drift; mass carried past them is dropped, as it cannot come back down.
+    (Broadie, Glasserman & Kou, Mathematical Finance 7(4), 1997, for the
+    continuous-barrier limit.)
+    """
+
+    def normal_cdf(x):
+        return 0.5 * np.array([math.erfc(-v / math.sqrt(2.0)) for v in np.ravel(x)])
+
+    def normal_pdf(x):
+        return np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+
+    top = max(0.0, drift * horizon_days) + 10.0 * sigma * math.sqrt(horizon_days)
+    x = barrier + step * np.arange(math.ceil((top - barrier) / step) + 1)
+    weights = np.full(x.size, step)
+    weights[[0, -1]] = step / 2.0
+    # The step density at offsets d * step, |d| up to 10 sigma.
+    reach = math.ceil(10.0 * sigma / step)
+    kernel = normal_pdf((step * np.arange(-reach, reach + 1) - drift) / sigma) / sigma
+    below = normal_cdf((barrier - x - drift) / sigma)
+    density = normal_pdf((x - drift) / sigma) / sigma
+    absorbed = [float(normal_cdf([(barrier - drift) / sigma])[0])]
+    for _ in range(1, horizon_days):
+        mass = weights * density
+        absorbed.append(float(mass @ below))
+        density = np.convolve(mass, kernel)[reach : reach + x.size]
+    absorbed = np.array(absorbed)
+    return float(absorbed.sum()), absorbed
 
 
 def whole_array_systemic_loss(model: CompositionModel) -> LossDistribution:

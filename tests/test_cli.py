@@ -114,7 +114,7 @@ class TestStress:
         assert manifest["master_seed"] == 42
         assert len(manifest["config_digest"]) == 64
         assert manifest["numpy_version"] == np.__version__
-        assert manifest["rng_scheme"] == "philox-per-path/1"
+        assert manifest["rng_scheme"] == "sfc64-block128/2"
         assert manifest["chunk_paths"] == 2048
 
     def test_rerun_byte_identical_except_manifest_timestamp(

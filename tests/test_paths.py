@@ -21,7 +21,7 @@ from defi_stress.protocol import (
     liquidate_cells,
 )
 from defi_stress.stress import _WorstPaths
-from oracle import philox_increments, whole_chunk
+from oracle import block_increments, whole_chunk
 
 ETH_FIT = GbmParams(p0=223.0, mu=0.001592, sigma=0.050581)
 
@@ -43,27 +43,29 @@ def log_return_corr(col: np.ndarray, res: np.ndarray) -> float:
 
 
 class TestIncrements:
+    """`_increments` against `block_increments`, which builds a fresh
+    generator for each block of paths and draws it whole."""
+
+    B = paths.BLOCK_PATHS
+
     @pytest.mark.parametrize("asset", [COLLATERAL, RESERVE])
     @pytest.mark.parametrize("seed", [0, 42, 2**64 + 5])
     @pytest.mark.parametrize("horizon", [1, 365])
     def test_matches_one_generator_per_path(self, asset, seed, horizon):
         z = np.empty((horizon, 5000))
         paths._increments(seed, asset, range(5000), z)
-        expected = philox_increments(seed, asset, horizon, 5000)
+        expected = block_increments(seed, asset, horizon, range(5000))
         assert z.T.tobytes() == expected.tobytes()
 
     def test_offset_selects_later_paths(self):
         z = np.empty((30, 20))
         paths._increments(7, RESERVE, range(13, 33), z)
-        expected = philox_increments(7, RESERVE, 30, 33)[13:]
+        expected = block_increments(7, RESERVE, 30, range(13, 33))
         assert z.T.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize(
         "start, n_paths",
-        [
-            (0, 3 * paths._TILE_PATHS),
-            (paths._TILE_PATHS + 3, 2 * paths._TILE_PATHS + 5),
-        ],
+        [(0, 3 * B), (B + 3, 2 * B + 5)],
         ids=["whole_tiles", "offset_partial_tile"],
     )
     def test_tiles_written_into_a_view_match_one_generator_per_path(
@@ -72,11 +74,37 @@ class TestIncrements:
         buffer = np.full((40, n_paths + 7), np.nan)
         out = buffer[5:35, 2 : 2 + n_paths]
         paths._increments(11, RESERVE, range(start, start + n_paths), out)
-        expected = philox_increments(11, RESERVE, 30, start + n_paths)[start:]
+        expected = block_increments(11, RESERVE, 30, range(start, start + n_paths))
         assert out.T.tobytes() == expected.tobytes()
         # Nothing outside the view was written.
         out[:] = np.nan
         assert np.isnan(buffer).all()
+
+    @pytest.mark.parametrize("as_range", [True, False], ids=["range", "list"])
+    def test_paths_across_a_block_edge(self, as_range):
+        ks = [self.B - 1, self.B, self.B + 1]
+        z = np.empty((30, 3))
+        drawn = range(ks[0], ks[-1] + 1) if as_range else ks
+        paths._increments(2**64 + 5, COLLATERAL, drawn, z)
+        assert z.T.tobytes() == block_increments(5, COLLATERAL, 30, ks).tobytes()
+
+    def test_unsorted_repeated_blocks(self, monkeypatch):
+        B = self.B
+        ks = [3 * B + 5, 2, 3 * B, B - 1, 3 * B + 5, B + 7, 0]
+        z = np.empty((30, len(ks)))
+        paths._increments(9, RESERVE, ks, z)
+        assert z.T.tobytes() == block_increments(9, RESERVE, 30, ks).tobytes()
+        # In increasing order, each block is drawn once.
+        keys = []
+        seed_sequence = np.random.SeedSequence
+
+        def recorded(entropy, spawn_key):
+            keys.append(spawn_key)
+            return seed_sequence(entropy, spawn_key=spawn_key)
+
+        monkeypatch.setattr(np.random, "SeedSequence", recorded)
+        paths._increments(9, RESERVE, sorted(ks), z)
+        assert keys == [(0, RESERVE), (1, RESERVE), (3, RESERVE)]
 
 
 def cumsum_prices(params: GbmParams, z: np.ndarray) -> np.ndarray:
@@ -118,8 +146,9 @@ def full_temporary_prices(collateral, reserve, rhos, horizon, n_paths, seed, sta
     temporaries, rho * z_col + sqrt(1 - rho^2) * z_ind, and every asset
     priced with np.cumsum over all its days: the reference for the day
     blocks of `correlated_chunks`."""
-    z_col = philox_increments(seed, COLLATERAL, horizon, start + n_paths)[start:].T
-    z_ind = philox_increments(seed, RESERVE, horizon, start + n_paths)[start:].T
+    ks = range(start, start + n_paths)
+    z_col = block_increments(seed, COLLATERAL, horizon, ks).T
+    z_ind = block_increments(seed, RESERVE, horizon, ks).T
     reserve_prices = [
         cumsum_prices(reserve, rho * z_col + np.sqrt(1.0 - rho**2) * z_ind)
         for rho in rhos

@@ -1,4 +1,5 @@
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -20,7 +21,12 @@ from defi_stress.protocol import (
     run_liquidation,
     trace_cells,
 )
-from oracle import margin, scalar_liquidation, whole_chunk
+from oracle import (
+    discrete_barrier_probability,
+    margin,
+    scalar_liquidation,
+    whole_chunk,
+)
 
 
 def holding(units, debt, liquidity, p0, reserve=0.0):
@@ -481,6 +487,55 @@ class TestLiquidationBlock:
         setups = self.setups[:1] + (LiquidationSetup(1e8, LiquidityModel(1.0), 2e6),)
         with pytest.raises(InvalidParams):
             liquidate_cells(setups, collateral, reserve)
+
+
+class TestBarrierOracle:
+    """With nothing sold (l0 = 0) and no reserve, a position's margin is
+    negative exactly when its collateral price falls below p0 /
+    collateral_ratio: the log-price, a Gaussian random walk, crosses the
+    constant barrier log(1 / collateral_ratio). So the share of paths that
+    go undercollateralised has an answer that draws no random number."""
+
+    ETH = GbmParams(223.0, -0.001592, 0.050581)
+    STEP = ETH.sigma / 40
+
+    def oracle(self, horizon, ratio, step=STEP):
+        drift = self.ETH.mu - self.ETH.sigma**2 / 2
+        barrier = -math.log(ratio)
+        return discrete_barrier_probability(
+            drift, self.ETH.sigma, horizon, barrier, step
+        )
+
+    @pytest.mark.parametrize("horizon, ratio", [(30, 1.5), (100, 2.0)])
+    def test_halving_the_step_moves_the_answer_below_1e_4(self, horizon, ratio):
+        p, absorbed = self.oracle(horizon, ratio)
+        half, _ = self.oracle(horizon, ratio, self.STEP / 2)
+        assert abs(half - p) < 1e-4
+        assert absorbed.shape == (horizon,) and (absorbed >= 0).all()
+        # Watching every instant, not once a day, can only catch more paths.
+        normal_cdf = NormalDist().cdf
+        drift, sigma = self.ETH.mu - self.ETH.sigma**2 / 2, self.ETH.sigma
+        b, mean, sd = -math.log(ratio), drift * horizon, sigma * math.sqrt(horizon)
+        continuous = normal_cdf((b - mean) / sd) + math.exp(
+            2 * drift * b / sigma**2
+        ) * normal_cdf((b + mean) / sd)
+        assert p < continuous
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("horizon, ratio", [(30, 1.5), (100, 2.0)])
+    def test_share_undercollateralised_within_4_se(self, seed, horizon, ratio):
+        n_paths = 100_000
+        setup = LiquidationSetup(1e8, LiquidityModel(0.0), 0.0, ratio)
+        events = 0
+        for _, blocks in correlated_chunks(
+            self.ETH, self.ETH, (0.0,), horizon, n_paths, seed
+        ):
+            first_neg, _ = liquidate_cells([setup], *whole_chunk(blocks))
+            events += int((first_neg >= 0).sum())
+        share = events / n_paths
+        p, _ = self.oracle(horizon, ratio)
+        se = math.sqrt(p * (1 - p) / n_paths)
+        assert abs(share - p) < 4 * se, (share, p, (share - p) / se)
 
 
 def test_invalid_types():

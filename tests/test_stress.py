@@ -123,7 +123,9 @@ class TestRunScenario:
             liquidity_regimes=tuple(LiquidityModel(l0) for l0 in grids[1]),
         )
         outputs = []
-        for chunk in (1, 7, 2048, config.n_paths):
+        # B - 1 and B + 1 start chunks inside a block of paths' generator.
+        B = paths.BLOCK_PATHS
+        for chunk in (1, 7, B - 1, B + 1, 2048, config.n_paths):
             monkeypatch.setattr(paths, "CHUNK_PATHS", chunk)
             out = tmp_path / str(chunk)
             write_report(run_scenario(config), out)
